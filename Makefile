@@ -42,10 +42,11 @@ bench-baseline:
 bench-compare:
 	$(GO) run ./cmd/proteus-bench -bench-compare BENCH_baseline.json
 
-# Hard zero-alloc assertions on the protocol hot path (cheap, exact,
-# machine-independent — unlike bench-compare's timing thresholds).
+# Hard allocation assertions on the protocol hot path (cheap, exact,
+# machine-independent — unlike bench-compare's timing thresholds):
+# zero on the server's GET path, two for a whole GET hit over loopback.
 allocs-check:
-	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto
+	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto ./internal/cacheclient
 
 # Conformance smoke: the model-based checker (internal/check) over a
 # fixed seed set on both execution planes, under the race detector,

@@ -74,6 +74,14 @@ const lintAbsoluteBudget = 60 * time.Second
 // rate fails the build.
 const kneeNsLimit = 2.0
 
+// pageCliffLimit bounds get_loopback_6k / get_loopback_256, both
+// measured in the same run, so the rule holds on any machine: the
+// largest wiki page must cost a 256 B value plus its copy, not a second
+// write on the server and a second read on the client. With bufio's
+// 4 KiB default on the hop the ratio was 1.63; with buffers that hold a
+// page (memproto.WireBufSize) it is 1.25 (EXPERIMENTS.md A9).
+const pageCliffLimit = 1.45
+
 // baselineKeys builds a deterministic key set shared by the benchmarks.
 func baselineKeys(n int) []string {
 	keys := make([]string, n)
@@ -161,6 +169,31 @@ func hotPathBenches() ([]namedBench, func(), error) {
 		srv.Close()
 	}
 	multiKeys := append([]string(nil), keys[:16]...)
+	// Sized values for the loopback rows: 256 B (what multiget_16 and
+	// the package benchmarks use), the paper's 4 KiB page and chunk
+	// piece, and the largest wiki page — the last two are over bufio's
+	// default buffer, which is where the hop used to pay twice.
+	sizedKeys := func(size int) []string {
+		ks := make([]string, 16)
+		for i := range ks {
+			ks[i] = fmt.Sprintf("sized:%d:%d", size, i)
+			srv.Cache().Set(ks[i], make([]byte, size), 0)
+		}
+		return ks
+	}
+	getLoopback := func(size int) func(b *testing.B) {
+		ks := sizedKeys(size)
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := client.Get(ks[i%len(ks)]); err != nil || !ok {
+					b.Fatalf("Get = %v, %v", ok, err)
+				}
+			}
+		}
+	}
+	keys4k := sizedKeys(4096)
+	page4k := make([]byte, 4096)
 
 	benches := []namedBench{
 		{"cache_get_hit", func(b *testing.B) {
@@ -284,6 +317,25 @@ func hotPathBenches() ([]namedBench, func(), error) {
 			for i := 0; i < b.N; i++ {
 				if _, err := client.MultiGet(multiKeys...); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}},
+		{"get_loopback_256", getLoopback(256)},
+		{"get_loopback_4k", getLoopback(4096)},
+		{"get_loopback_6k", getLoopback(6143)},
+		{"set_loopback_4k", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := client.Set(keys4k[i%len(keys4k)], page4k, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"multiget8_4k", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if m, err := client.MultiGet(keys4k[:8]...); err != nil || len(m) != 8 {
+					b.Fatalf("MultiGet = %d values, %v", len(m), err)
 				}
 			}
 		}},
@@ -544,11 +596,13 @@ func writeBaseline(path string) error {
 }
 
 // compareBaseline re-measures the hot paths and diffs them against a
-// committed baseline, failing on a >25% ns/op regression or on any new
+// committed baseline, failing on a >25% ns/op regression, on any new
 // allocations along paths the baseline records as allocation-free (the
-// zero-alloc contract of the GET-hit protocol path). Benchmarks missing
-// from the committed file are reported informationally, so a stale
-// baseline fails loudly instead of silently shrinking coverage.
+// zero-alloc contract of the GET-hit protocol path), or on a page
+// costing the hop more than pageCliffLimit times a small value.
+// Benchmarks missing from the committed file are reported
+// informationally, so a stale baseline fails loudly instead of silently
+// shrinking coverage.
 func compareBaseline(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -567,6 +621,17 @@ func compareBaseline(path string) error {
 		return err
 	}
 	var failures []string
+	freshNs := make(map[string]float64, len(fresh))
+	for _, r := range fresh {
+		freshNs[r.Name] = r.NsPerOp
+	}
+	if ratio := freshNs["get_loopback_6k"] / freshNs["get_loopback_256"]; ratio > pageCliffLimit {
+		failures = append(failures, fmt.Sprintf(
+			"get_loopback_6k is %.2fx get_loopback_256 in this run (limit %.2fx): a page costs the hop more than one write and one read",
+			ratio, pageCliffLimit))
+	} else {
+		fmt.Fprintf(os.Stderr, "ok    get_loopback_6k / get_loopback_256 = %.2f (limit %.2f)\n", ratio, pageCliffLimit)
+	}
 	for _, r := range fresh {
 		b, ok := baseline[r.Name]
 		if !ok {

@@ -2,12 +2,8 @@ package cacheclient
 
 import (
 	"fmt"
-	"net"
 	"testing"
 	"time"
-
-	"proteus/internal/bloom"
-	"proteus/internal/cacheserver"
 )
 
 // Loopback round-trip benchmarks: the pipelined MultiGet pays one
@@ -16,33 +12,22 @@ import (
 // the ratio on the current host:
 //
 //	go test -run '^$' -bench 'Loopback' -benchmem ./internal/cacheclient
-func benchClient(b *testing.B, nkeys int) (*Client, []string) {
+func benchClient(b *testing.B, nkeys, valueSize int) (*Client, []string) {
 	b.Helper()
-	srv, err := cacheserver.New(cacheserver.Config{
-		Digest: bloom.Params{Counters: 1 << 14, CounterBits: 4, Hashes: 4},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	b.Cleanup(func() { srv.Close() })
+	srv, addr := bootServer(b, "127.0.0.1:0", nil)
 	keys := make([]string, nkeys)
-	value := make([]byte, 256)
+	value := make([]byte, valueSize)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bench:%d", i)
 		srv.Cache().Set(keys[i], value, 0)
 	}
-	c := New(ln.Addr().String(), WithTimeout(2*time.Second))
+	c := New(addr, WithTimeout(2*time.Second))
 	b.Cleanup(c.Close)
 	return c, keys
 }
 
 func BenchmarkGetLoopback(b *testing.B) {
-	c, keys := benchClient(b, 16)
+	c, keys := benchClient(b, 16, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,9 +37,51 @@ func BenchmarkGetLoopback(b *testing.B) {
 	}
 }
 
+// The size sweep across bufio's old 4 KiB default (EXPERIMENTS.md A9):
+// a paper-sized page must cost what a 256 B value costs plus its copy,
+// not an extra write on the server and an extra read on the client.
+func BenchmarkGetLoopbackSizes(b *testing.B) {
+	for _, size := range []int{256, 2048, 4000, 4200, 6143, 8300, 16000, 33000, 70000} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			c, keys := benchClient(b, 16, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := c.Get(keys[i%len(keys)]); err != nil || !ok {
+					b.Fatalf("Get = %v, %v", ok, err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkSetLoopback4K(b *testing.B) {
+	c, keys := benchClient(b, 16, 4096)
+	value := make([]byte, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Set(keys[i%len(keys)], value, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMultiGet8Loopback4K(b *testing.B) {
+	c, keys := benchClient(b, 8, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := c.MultiGet(keys...)
+		if err != nil || len(m) != len(keys) {
+			b.Fatalf("MultiGet = %d keys, %v", len(m), err)
+		}
+	}
+}
+
 // Serial control for MultiGet16: the same 16 keys, one round trip each.
 func BenchmarkGet16SerialLoopback(b *testing.B) {
-	c, keys := benchClient(b, 16)
+	c, keys := benchClient(b, 16, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +94,7 @@ func BenchmarkGet16SerialLoopback(b *testing.B) {
 }
 
 func BenchmarkMultiGet16Loopback(b *testing.B) {
-	c, keys := benchClient(b, 16)
+	c, keys := benchClient(b, 16, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

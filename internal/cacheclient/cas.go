@@ -15,23 +15,8 @@ type CASValue struct {
 
 // Gets fetches a key with its CAS token (memcached "gets").
 func (c *Client) Gets(key string) (CASValue, bool, error) {
-	req := &memproto.Request{Command: memproto.CmdGets, Keys: []string{key}}
-	var (
-		out CASValue
-		ok  bool
-	)
-	err := c.roundTrip(req, func(br *bufio.Reader) error {
-		values, err := memproto.ReadValues(br)
-		if err != nil {
-			return err
-		}
-		if len(values) > 0 {
-			out = CASValue{Value: values[0].Data, CAS: values[0].CAS}
-			ok = true
-		}
-		return nil
-	})
-	return out, ok, err
+	v, ok, err := c.get(memproto.CmdGets, key)
+	return CASValue{Value: v.Data, CAS: v.CAS}, ok, err
 }
 
 // CASStatus is the outcome of a CompareAndSwap.

@@ -216,15 +216,28 @@ type Client struct {
 
 	breaker breaker
 
-	pool   chan *conn
+	pool   chan net.Conn // idle connections: bare sockets, no buffers
 	tokens chan struct{} // limits total live connections
 	closed chan struct{}
 }
 
-type conn struct {
-	nc net.Conn
+// wire is the buffering of one exchange. A pooled connection is empty
+// between exchanges — exchangeOnce discards one that is not — so an
+// idle connection has no use for buffers: each exchange borrows a pair
+// from wirePool and returns it, and buffer memory follows operations in
+// flight, not maxConns × servers.
+type wire struct {
 	br *bufio.Reader
 	bw *bufio.Writer
+}
+
+var wirePool = sync.Pool{
+	New: func() interface{} {
+		return &wire{
+			br: bufio.NewReaderSize(nil, memproto.WireBufSize),
+			bw: bufio.NewWriterSize(nil, memproto.WireBufSize),
+		}
+	},
 }
 
 // breaker is a per-server circuit breaker. It trips after threshold
@@ -314,7 +327,7 @@ func New(addr string, opts ...Option) *Client {
 		seed = *c.jitterSeed
 	}
 	c.jrng = rand.New(rand.NewSource(seed))
-	c.pool = make(chan *conn, c.maxConns)
+	c.pool = make(chan net.Conn, c.maxConns)
 	c.tokens = make(chan struct{}, c.maxConns)
 	for i := 0; i < c.maxConns; i++ {
 		c.tokens <- struct{}{}
@@ -344,8 +357,8 @@ func (c *Client) Close() {
 	close(c.closed)
 	for {
 		select {
-		case cn := <-c.pool:
-			_ = cn.nc.Close() // pool drain is best-effort
+		case nc := <-c.pool:
+			_ = nc.Close() // pool drain is best-effort
 		default:
 			return
 		}
@@ -355,7 +368,7 @@ func (c *Client) Close() {
 // getConn returns a connection and whether it came from the pool (a
 // pooled connection may have been closed by a server power cycle, so
 // its first use is retried).
-func (c *Client) getConn() (*conn, bool, error) {
+func (c *Client) getConn() (net.Conn, bool, error) {
 	select {
 	case <-c.closed:
 		return nil, false, ErrClosed
@@ -367,20 +380,20 @@ func (c *Client) getConn() (*conn, bool, error) {
 	// waste dials and make the operation sequence nondeterministic
 	// (the chaos tests replay fault schedules by op ordinal).
 	select {
-	case cn := <-c.pool:
-		return cn, true, nil
+	case nc := <-c.pool:
+		return nc, true, nil
 	default:
 	}
 	select {
-	case cn := <-c.pool:
-		return cn, true, nil
+	case nc := <-c.pool:
+		return nc, true, nil
 	case <-c.tokens:
 		nc, err := c.dial(c.addr, c.timeout)
 		if err != nil {
 			c.tokens <- struct{}{}
 			return nil, false, fmt.Errorf("cacheclient: dial %s: %w", c.addr, err)
 		}
-		return &conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, false, nil
+		return nc, false, nil
 	case <-c.closed:
 		return nil, false, ErrClosed
 	}
@@ -393,8 +406,8 @@ func (c *Client) getConn() (*conn, bool, error) {
 func (c *Client) evictPool() {
 	for {
 		select {
-		case cn := <-c.pool:
-			_ = cn.nc.Close() // already presumed dead by the breaker
+		case nc := <-c.pool:
+			_ = nc.Close() // already presumed dead by the caller
 			c.tokens <- struct{}{}
 		default:
 			return
@@ -402,17 +415,30 @@ func (c *Client) evictPool() {
 	}
 }
 
-func (c *Client) putConn(cn *conn, broken bool) {
+// DropIdle closes every idle pooled connection and closes the circuit
+// breaker. The coordinator calls it when it powers the server off: the
+// connections die with the process, and the node that later answers at
+// this address is a new one, owed neither up to maxConns stale-socket
+// failures nor the old one's open breaker.
+func (c *Client) DropIdle() {
+	c.evictPool()
+	c.breaker.success()
+	if c.tel != nil {
+		c.tel.breakerOpen.Set(0)
+	}
+}
+
+func (c *Client) putConn(nc net.Conn, broken bool) {
 	if broken {
-		_ = cn.nc.Close() // the transport error already surfaced to the caller
+		_ = nc.Close() // the transport error already surfaced to the caller
 		c.tokens <- struct{}{}
 		return
 	}
 	select {
 	case <-c.closed:
-		_ = cn.nc.Close() // client shut down; nothing to report to
+		_ = nc.Close() // client shut down; nothing to report to
 		c.tokens <- struct{}{}
-	case c.pool <- cn:
+	case c.pool <- nc:
 	}
 }
 
@@ -520,28 +546,38 @@ func (c *Client) backoff(attempt int) time.Duration {
 }
 
 func (c *Client) exchangeOnce(write func(*bufio.Writer) error, read func(*bufio.Reader) error) (pooled bool, err error) {
-	cn, pooled, err := c.getConn()
+	nc, pooled, err := c.getConn()
 	if err != nil {
 		return pooled, err
 	}
+	w := wirePool.Get().(*wire)
+	w.br.Reset(nc)
+	w.bw.Reset(nc)
 	broken := true
-	defer func() { c.putConn(cn, broken) }()
+	defer func() {
+		// Reset drops the socket, and whatever a failed exchange left
+		// buffered, before another exchange borrows the pair.
+		w.br.Reset(nil)
+		w.bw.Reset(nil)
+		wirePool.Put(w)
+		c.putConn(nc, broken)
+	}()
 
 	deadline := time.Now().Add(c.timeout)
-	if err := cn.nc.SetDeadline(deadline); err != nil {
+	if err := nc.SetDeadline(deadline); err != nil {
 		return pooled, fmt.Errorf("cacheclient: set deadline: %w", err)
 	}
-	if err := write(cn.bw); err != nil {
+	if err := write(w.bw); err != nil {
 		return pooled, err
 	}
-	if err := cn.bw.Flush(); err != nil {
+	if err := w.bw.Flush(); err != nil {
 		return pooled, fmt.Errorf("cacheclient: flush: %w", err)
 	}
 	if read == nil {
 		broken = false
 		return pooled, nil
 	}
-	if err := read(cn.br); err != nil {
+	if err := read(w.br); err != nil {
 		// A protocol-level error reply normally leaves the stream
 		// aligned, so the connection is reusable — but only if nothing
 		// is left buffered. A reply like "SERVER_ERROR ...\r\nEND\r\n"
@@ -550,29 +586,41 @@ func (c *Client) exchangeOnce(write func(*bufio.Writer) error, read func(*bufio.
 		// connection to the pool would serve the leftover bytes as the
 		// next request's response. Discard unless the buffer is clean.
 		var se *memproto.ServerError
-		if errors.As(err, &se) && cn.br.Buffered() == 0 {
+		if errors.As(err, &se) && w.br.Buffered() == 0 {
 			broken = false
 		}
 		return pooled, err
 	}
-	// Defensive: a fully parsed response must consume exactly the
-	// buffered bytes; anything left means the reader lost alignment.
-	broken = cn.br.Buffered() != 0
+	// A fully parsed response must consume exactly the buffered bytes;
+	// anything left means the reader lost alignment. This is also what
+	// lets the buffers go back to wirePool: a connection that is kept
+	// has nothing in them.
+	broken = w.br.Buffered() != 0
 	return pooled, nil
 }
 
 // Get fetches one key; ok reports residency.
 func (c *Client) Get(key string) (value []byte, ok bool, err error) {
-	req := &memproto.Request{Command: memproto.CmdGet, Keys: []string{key}}
-	err = c.roundTrip(req, func(br *bufio.Reader) error {
-		values, err := memproto.ReadValues(br)
-		if err != nil {
-			return err
+	v, ok, err := c.get(memproto.CmdGet, key)
+	return v.Data, ok, err
+}
+
+// get is the single-key retrieval behind Get and Gets. Its closures do
+// not escape, so a hit allocates the value and nothing else.
+func (c *Client) get(cmd memproto.Command, key string) (value memproto.Value, ok bool, err error) {
+	err = c.exchange(cmd.String(), func(bw *bufio.Writer) error {
+		return memproto.WriteGet(bw, cmd, key)
+	}, func(br *bufio.Reader) error {
+		for {
+			var v memproto.Value
+			more, err := memproto.ReadValue(br, &v)
+			if err != nil || !more {
+				return err
+			}
+			if !ok {
+				value, ok = v, true
+			}
 		}
-		if len(values) > 0 {
-			value, ok = values[0].Data, true
-		}
-		return nil
 	})
 	return value, ok, err
 }
@@ -602,8 +650,7 @@ func (c *Client) MultiGet(keys ...string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(uniq))
 	err := c.exchange("get_multi", func(bw *bufio.Writer) error {
 		for _, batch := range batches {
-			req := memproto.Request{Command: memproto.CmdGet, Keys: batch}
-			if err := req.WriteTo(bw); err != nil {
+			if err := memproto.WriteGet(bw, memproto.CmdGet, batch...); err != nil {
 				return err
 			}
 		}
@@ -611,7 +658,7 @@ func (c *Client) MultiGet(keys ...string) (map[string][]byte, error) {
 	}, func(br *bufio.Reader) error {
 		var scratch []memproto.Value
 		for range batches {
-			values, err := memproto.ReadValuesAppend(br, scratch[:0])
+			values, err := memproto.ReadValues(br, scratch[:0])
 			if err != nil {
 				return err
 			}

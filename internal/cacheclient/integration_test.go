@@ -11,26 +11,37 @@ import (
 	"proteus/internal/cacheserver"
 )
 
-// startServer boots a real cache server for in-package client coverage.
-func startServer(t *testing.T) *Client {
-	t.Helper()
+// bootServer starts a real cache server on addr ("127.0.0.1:0" for any
+// free port), its accepted connections wrapped by wrap when non-nil,
+// and returns it with the address it listens on. It is closed, and its
+// accept loop waited for, when the test ends.
+func bootServer(tb testing.TB, addr string, wrap func(net.Conn) net.Conn) (*cacheserver.Server, string) {
+	tb.Helper()
 	srv, err := cacheserver.New(cacheserver.Config{
-		Digest: bloom.Params{Counters: 1 << 14, CounterBits: 4, Hashes: 4},
+		Digest:   bloom.Params{Counters: 1 << 14, CounterBits: 4, Hashes: 4},
+		WrapConn: wrap,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		srv.Close()
 		<-done
 	})
-	c := New(ln.Addr().String(), WithTimeout(2*time.Second), WithMaxConns(3))
+	return srv, ln.Addr().String()
+}
+
+// startServer boots a real cache server for in-package client coverage.
+func startServer(t *testing.T) *Client {
+	t.Helper()
+	_, addr := bootServer(t, "127.0.0.1:0", nil)
+	c := New(addr, WithTimeout(2*time.Second), WithMaxConns(3))
 	t.Cleanup(c.Close)
 	return c
 }

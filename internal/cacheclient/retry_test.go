@@ -279,7 +279,7 @@ func TestBreakerOpenEvictsPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.putConn(&conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, false)
+		c.putConn(nc, false)
 	}
 
 	// Partition the server: the next Get fails on the first pooled
@@ -294,5 +294,60 @@ func TestBreakerOpenEvictsPool(t *testing.T) {
 	}
 	if got := len(c.tokens); got != 2 {
 		t.Fatalf("tokens after eviction = %d, want 2", got)
+	}
+}
+
+// A power cycle kills every pooled connection and leaves the breaker in
+// whatever state the dying node earned. DropIdle, which the coordinator
+// calls at power-off, makes the client as new for the node that comes
+// back at the address: nothing stale to be found dead one operation at
+// a time, no cooldown to sit out.
+func TestDropIdleAfterPowerCycle(t *testing.T) {
+	first, addr := bootServer(t, "127.0.0.1:0", nil)
+
+	var dials atomic.Int32
+	c := New(addr,
+		WithDialer(func(a string, to time.Duration) (net.Conn, error) {
+			dials.Add(1)
+			return net.DialTimeout("tcp", a, to)
+		}),
+		WithMaxConns(4), WithBreaker(1, time.Hour), WithMaxRetries(0),
+		WithSleep(func(time.Duration) {}), WithTimeout(time.Second),
+	)
+	defer c.Close()
+
+	// Four idle connections to the node that is about to die.
+	for i := 0; i < 4; i++ {
+		<-c.tokens
+		nc, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.putConn(nc, false)
+	}
+	first.Close()
+	// An operation caught by the power-off fails and opens the
+	// threshold-1 breaker for an hour.
+	if _, _, err := c.Get("k"); err == nil {
+		t.Fatal("Get against a powered-off server succeeded")
+	}
+	if _, _, err := c.Get("k"); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("breaker not open after the failure: %v", err)
+	}
+
+	c.DropIdle()
+	if len(c.pool) != 0 || len(c.tokens) != 4 {
+		t.Fatalf("after DropIdle: %d pooled, %d tokens; want 0 and 4", len(c.pool), len(c.tokens))
+	}
+
+	second, _ := bootServer(t, addr, nil)
+	second.Cache().Set("k", []byte("v"), 0)
+	before := dials.Load()
+	v, ok, err := c.Get("k")
+	if err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get after regrow: %q, %v, %v", v, ok, err)
+	}
+	if got := dials.Load() - before; got != 1 {
+		t.Fatalf("Get after regrow dialed %d times, want one fresh dial and no retry", got)
 	}
 }

@@ -261,9 +261,12 @@ func (s *Server) Close() error {
 
 // connState is the per-connection scratch: buffered reader/writer plus
 // the protocol parser with its reusable line/field/request scratch.
-// Pooling it means a connection churn storm (the load generator's
-// reconnect loops, chaos tests) does not allocate fresh 4 KB buffers
-// per accept.
+// Unlike the client, which borrows buffers per exchange, the server
+// owns them for the life of the connection: its reader is parked in a
+// blocking read between requests and needs the buffer to read into.
+// Pooling connState means a connection churn storm (the load
+// generator's reconnect loops, chaos tests) does not allocate fresh
+// buffers per accept.
 type connState struct {
 	br *bufio.Reader
 	bw *bufio.Writer
@@ -273,8 +276,8 @@ type connState struct {
 var connStatePool = sync.Pool{
 	New: func() interface{} {
 		cs := &connState{
-			br: bufio.NewReader(nil),
-			bw: bufio.NewWriter(nil),
+			br: bufio.NewReaderSize(nil, memproto.WireBufSize),
+			bw: bufio.NewWriterSize(nil, memproto.WireBufSize),
 		}
 		cs.p = memproto.NewParser(cs.br)
 		return cs

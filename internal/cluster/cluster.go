@@ -485,6 +485,12 @@ func (c *Coordinator) powerOffExpired(tr *Transition) {
 			// Best-effort: a node that fails to power off keeps burning
 			// power but stays correct.
 			_ = c.nodes[i].PowerOff()
+			// The pooled connections died with the node. Dropping them
+			// here, and the breaker state with them, lets a regrow dial
+			// the power-cycled node fresh; left in the pool they are
+			// found dead one failed operation at a time, enough of them
+			// to open the breaker against a healthy node.
+			c.clients[i].DropIdle()
 			c.powerOffs.Inc()
 			c.events.Record(telemetry.Event{Kind: telemetry.EventPowerOff, Node: i})
 		}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"proteus/internal/cache"
+	"proteus/internal/cacheclient"
+	"proteus/internal/telemetry"
 	"proteus/internal/testutil"
 )
 
@@ -188,6 +190,59 @@ func TestScaleUpBootsAndMigrates(t *testing.T) {
 		if !l.Running() {
 			t.Fatalf("node %d off after scale-up finalize", i)
 		}
+	}
+}
+
+// A shrink powers node 2 off at TTL expiry and a regrow boots a new
+// server at its address. The client's pooled connections died with the
+// old server; the coordinator drops them at power-off, so the first
+// operations after the regrow dial fresh instead of finding each stale
+// socket by failing on it (one retry each; a full pool of 16 opens the
+// breaker against a healthy node).
+func TestRegrowDialsPowerCycledNodeFresh(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	timer := &testutil.ManualTimer{}
+	nodes := make([]Node, 3)
+	for i := range nodes {
+		nodes[i] = NewLocalNode(cache.Config{}, testutil.SmallDigest())
+	}
+	coord, err := New(Config{
+		Nodes: nodes, InitialActive: 3, TTL: time.Minute, After: timer.After,
+		NewClient: func(addr string) *cacheclient.Client {
+			return cacheclient.New(addr, cacheclient.WithTelemetry(reg))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		coord.Close()
+		for _, n := range nodes {
+			n.PowerOff()
+		}
+	})
+
+	// Leave an idle connection to node 2 in its client's pool.
+	if err := coord.Client(2).Set("warm", []byte("v"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := coord.SetActive(2); err != nil {
+		t.Fatal(err)
+	}
+	timer.Fire() // TTL expiry: node 2 powers off
+	if err := coord.SetActive(3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := coord.Client(2).Set(fmt.Sprintf("regrown:%d", i), []byte("v"), 0); err != nil {
+			t.Fatalf("operation %d on the regrown node: %v", i, err)
+		}
+	}
+	retries := reg.Counter("proteus_client_retries_total",
+		"operation retries (stale-connection and backoff)", "addr")
+	if n := retries.Total(); n != 0 {
+		t.Fatalf("%d client retries: the regrown node was reached through stale connections", n)
 	}
 }
 

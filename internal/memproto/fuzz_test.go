@@ -147,7 +147,7 @@ func FuzzParseResponse(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if values, err := ReadValues(bufio.NewReader(bytes.NewReader(in))); err == nil {
+		if values, err := ReadValues(bufio.NewReader(bytes.NewReader(in)), nil); err == nil {
 			for _, v := range values {
 				if len(v.Data) > MaxValueLen {
 					t.Fatalf("reader accepted %d-byte value", len(v.Data))
@@ -167,7 +167,7 @@ func FuzzParseResponse(f *testing.F) {
 				t.Fatal(err)
 			}
 			if linesFit(buf.Bytes()) {
-				again, err := ReadValues(bufio.NewReader(&buf))
+				again, err := ReadValues(bufio.NewReader(&buf), nil)
 				if err != nil {
 					t.Fatalf("re-parse of encoded values failed: %v", err)
 				}

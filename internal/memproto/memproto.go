@@ -78,6 +78,18 @@ const (
 	// gets must split key lists so each line stays within it.
 	MaxLineLen = 4096
 	maxLineLen = MaxLineLen
+	// WireBufSize sizes every bufio.Reader and bufio.Writer on the
+	// cache hop, client and server. A buffer that holds a whole
+	// message costs one read or write per exchange; a smaller one costs
+	// one per buffer-full, so the size is chosen by the traffic the
+	// repo serves: wiki pages of 2-6 KiB and 4 KiB chunk pieces (the
+	// paper's data unit) as GET replies and SET requests, which
+	// bufio's 4 KiB default split in two. 16 KiB holds any of them with
+	// their header and trailer; an 8-key MultiGet reply (~33 KiB) takes
+	// three buffers instead of nine, and a digest body (32 KiB and up)
+	// is larger than any reasonable buffer and bypasses it, bufio
+	// reading and writing the excess straight from the caller's slice.
+	WireBufSize = 16 << 10
 )
 
 // Errors shared by the codec.

@@ -207,7 +207,7 @@ func TestValuesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw.Flush()
-	got, err := ReadValues(bufio.NewReader(&buf))
+	got, err := ReadValues(bufio.NewReader(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestValuesRoundTrip(t *testing.T) {
 }
 
 func TestReadValuesEmpty(t *testing.T) {
-	got, err := ReadValues(reader("END\r\n"))
+	got, err := ReadValues(reader("END\r\n"), nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v; want empty, nil", got, err)
 	}
@@ -241,7 +241,7 @@ func TestReadReplyAndErrors(t *testing.T) {
 	if !errors.As(err, &se) || se.Kind != ReplyError {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = ReadValues(reader("CLIENT_ERROR bad line\r\n"))
+	_, err = ReadValues(reader("CLIENT_ERROR bad line\r\n"), nil)
 	if !errors.As(err, &se) || se.Kind != "CLIENT_ERROR" {
 		t.Fatalf("err = %v", err)
 	}

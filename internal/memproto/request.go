@@ -40,8 +40,8 @@ type Parser struct {
 }
 
 // NewParser builds a Parser reading from br. The bufio.Reader's buffer
-// must be at least maxLineLen bytes (the bufio.NewReader default) so a
-// maximal command line fits without copying.
+// must be at least maxLineLen bytes (cacheserver sizes it WireBufSize)
+// so a maximal command line fits without copying.
 func NewParser(br *bufio.Reader) *Parser { return &Parser{br: br} }
 
 // Reset rebinds the parser to a new stream, keeping its scratch.
@@ -64,7 +64,7 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 //
 //lint:hotpath per-request parse loop
 func (p *Parser) Next() (*Request, error) {
-	line, err := p.readLineSlice()
+	line, err := readLineSlice(p.br)
 	if err != nil {
 		return nil, err
 	}
@@ -272,9 +272,9 @@ func hasNoReply(rest [][]byte) bool {
 // terminator, rejecting oversized lines. The returned slice aliases the
 // reader's buffer and is valid only until the next read.
 //
-//lint:hotpath command-line read on every request
-func (p *Parser) readLineSlice() ([]byte, error) {
-	line, err := p.br.ReadSlice('\n')
+//lint:hotpath line read on every request and every reply
+func readLineSlice(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		if err == io.EOF && len(line) == 0 {
 			return nil, io.EOF
@@ -392,28 +392,34 @@ func parseIntBytes(b []byte) (int64, bool) {
 	return int64(n), true
 }
 
+// WriteGet encodes a retrieval command (cmd is CmdGet or CmdGets) for
+// keys. Request.WriteTo uses it; the client's single-key Get calls it
+// directly, because a key passed here stays on the caller's stack while
+// a Request's Keys slice does not.
+func WriteGet(bw *bufio.Writer, cmd Command, keys ...string) error {
+	name := "get"
+	if cmd == CmdGets {
+		name = "gets"
+	}
+	bw.WriteString(name)
+	for _, k := range keys {
+		if !ValidKey(k) {
+			return fmt.Errorf("%w: %q", ErrBadKey, k)
+		}
+		bw.WriteByte(' ')
+		bw.WriteString(k)
+	}
+	_, err := bw.WriteString("\r\n")
+	return err
+}
+
 // WriteTo encodes the request for the client side of the connection.
 // The encoding is allocation-free so pipelined batches (MultiGet) cost
 // nothing beyond the buffered bytes.
 func (r *Request) WriteTo(bw *bufio.Writer) error {
 	switch r.Command {
 	case CmdGet, CmdGets:
-		if _, err := bw.WriteString(r.Command.String()); err != nil {
-			return err
-		}
-		for _, k := range r.Keys {
-			if !ValidKey(k) {
-				return fmt.Errorf("%w: %q", ErrBadKey, k)
-			}
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(k); err != nil {
-				return err
-			}
-		}
-		_, err := bw.WriteString("\r\n")
-		return err
+		return WriteGet(bw, r.Command, r.Keys...)
 	case CmdSet, CmdAdd, CmdReplace, CmdCas, CmdAppend, CmdPrepend:
 		if !ValidKey(r.Key()) {
 			return fmt.Errorf("%w: %q", ErrBadKey, r.Key())
@@ -488,13 +494,11 @@ func (r *Request) WriteTo(bw *bufio.Writer) error {
 	}
 }
 
-// readLine reads one CRLF- (or LF-) terminated line without the
-// terminator, rejecting oversized lines. Client-side response readers
-// use it; the server-side Parser uses the alias-returning
+// readLine is readLineSlice returning a copy. The reply readers off
+// the GET path use it; Parser and ReadValue use the alias-returning
 // readLineSlice.
 func readLine(br *bufio.Reader) (string, error) {
-	p := Parser{br: br}
-	line, err := p.readLineSlice()
+	line, err := readLineSlice(br)
 	if err != nil {
 		return "", err
 	}

@@ -154,58 +154,93 @@ func errorReply(line string) *ServerError {
 	return nil
 }
 
-// ReadValues consumes a retrieval response: zero or more VALUE blocks
-// terminated by END.
-func ReadValues(br *bufio.Reader) ([]Value, error) {
-	return ReadValuesAppend(br, nil)
+// ReadValue reads the next element of a retrieval response: a VALUE
+// block, stored into v (true), or the END terminator (false). It works
+// on the bytes of the reader's buffer — the Parser's line reader, field
+// splitter and overflow-exact numeric parsers — so the only allocation
+// is v.Data, which the caller may keep. v.Key is left empty: a
+// single-key caller knows which key it asked for; ReadValues fills it.
+//
+//lint:hotpath reply read on every client GET
+func ReadValue(br *bufio.Reader, v *Value) (bool, error) {
+	return readValue(br, v, false)
 }
 
-// ReadValuesAppend is ReadValues appending into dst, so pipelined
-// clients can reuse one scratch slice across batches. The Value structs
-// are appended to dst's backing array; each Data payload is still a
-// fresh allocation (callers retain it).
-func ReadValuesAppend(br *bufio.Reader, dst []Value) ([]Value, error) {
+// ReadValues consumes a retrieval response — zero or more VALUE blocks
+// terminated by END — appending to dst, so pipelined clients can reuse
+// one scratch slice across batches. Each Key and Data is a fresh
+// allocation the caller may keep.
+func ReadValues(br *bufio.Reader, dst []Value) ([]Value, error) {
 	for {
-		line, err := readLine(br)
+		var v Value
+		ok, err := readValue(br, &v, true)
 		if err != nil {
 			return nil, err
 		}
-		if line == ReplyEnd {
+		if !ok {
 			return dst, nil
 		}
-		if se := errorReply(line); se != nil {
-			return nil, se
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 || len(fields) > 5 || fields[0] != "VALUE" {
-			return nil, fmt.Errorf("%w: unexpected retrieval line %q", ErrProtocol, line)
-		}
-		flags, err := strconv.ParseUint(fields[2], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad flags in %q", ErrProtocol, line)
-		}
-		size, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil || size < 0 || size > MaxValueLen {
-			return nil, fmt.Errorf("%w: bad size in %q", ErrProtocol, line)
-		}
-		value := Value{Key: fields[1], Flags: uint32(flags)}
-		if len(fields) == 5 {
-			cas, err := strconv.ParseUint(fields[4], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad cas in %q", ErrProtocol, line)
-			}
-			value.CAS, value.HasCAS = cas, true
-		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, fmt.Errorf("%w: short value body: %v", ErrProtocol, err)
-		}
-		if err := expectCRLF(br); err != nil {
-			return nil, err
-		}
-		value.Data = data
-		dst = append(dst, value)
+		dst = append(dst, v)
 	}
+}
+
+//lint:hotpath reply read on every client GET
+func readValue(br *bufio.Reader, v *Value, keyed bool) (bool, error) {
+	line, err := readLineSlice(br)
+	if err != nil {
+		return false, err
+	}
+	if string(line) == ReplyEnd {
+		return false, nil
+	}
+	// VALUE <key> <flags> <bytes> [<cas>]
+	var table [5][]byte
+	fields := splitFields(line, table[:0])
+	if len(fields) < 4 || len(fields) > 5 || string(fields[0]) != "VALUE" {
+		//lint:allow hotalloc error replies and malformed lines allocate their message; a hit never takes this path
+		if se := errorReply(string(line)); se != nil {
+			return false, se
+		}
+		//lint:allow hotalloc error replies and malformed lines allocate their message; a hit never takes this path
+		return false, fmt.Errorf("%w: unexpected retrieval line %q", ErrProtocol, line)
+	}
+	flags, ok := parseUintBytes(fields[2], 32)
+	if !ok {
+		//lint:allow hotalloc error replies and malformed lines allocate their message; a hit never takes this path
+		return false, fmt.Errorf("%w: bad flags in %q", ErrProtocol, line)
+	}
+	size, ok := parseIntBytes(fields[3])
+	if !ok || size < 0 || size > MaxValueLen {
+		//lint:allow hotalloc error replies and malformed lines allocate their message; a hit never takes this path
+		return false, fmt.Errorf("%w: bad size in %q", ErrProtocol, line)
+	}
+	*v = Value{Flags: uint32(flags)}
+	if len(fields) == 5 {
+		cas, ok := parseUintBytes(fields[4], 64)
+		if !ok {
+			//lint:allow hotalloc error replies and malformed lines allocate their message; a hit never takes this path
+			return false, fmt.Errorf("%w: bad cas in %q", ErrProtocol, line)
+		}
+		v.CAS, v.HasCAS = cas, true
+	}
+	if keyed {
+		// Before the body read, which may refill the buffer line aliases.
+		//lint:allow hotalloc multi-key callers index the reply by key and keep it
+		v.Key = string(fields[1])
+	}
+	//lint:allow hotalloc the value body is the one allocation of a GET: the caller keeps it
+	v.Data = make([]byte, size)
+	// io.ReadFull copies what the buffer already holds and, for a body
+	// larger than the buffer, reads the excess straight into v.Data.
+	if _, err := io.ReadFull(br, v.Data); err != nil {
+		//lint:allow hotalloc error replies and malformed lines allocate their message; a hit never takes this path
+		return false, fmt.Errorf("%w: short value body: %v", ErrProtocol, err)
+	}
+	//lint:allow hotalloc a missing body terminator allocates its error; a hit never takes this path
+	if err := expectCRLF(br); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // ReadReply consumes one reply line (STORED, DELETED, ...), converting

@@ -31,7 +31,7 @@ func TestQuickReadRequestNeverPanics(t *testing.T) {
 // Property: arbitrary byte soup never panics the response readers.
 func TestQuickResponseReadersNeverPanic(t *testing.T) {
 	prop := func(data []byte) bool {
-		if _, err := ReadValues(bufio.NewReader(bytes.NewReader(data))); err == nil {
+		if _, err := ReadValues(bufio.NewReader(bytes.NewReader(data)), nil); err == nil {
 			// Parsed cleanly — acceptable (e.g. "END\r\n" prefix).
 			_ = err
 		}
@@ -161,7 +161,7 @@ func TestValuesWithCASRoundTrip(t *testing.T) {
 	}
 	WriteEnd(bw)
 	bw.Flush()
-	got, err := ReadValues(bufio.NewReader(&buf))
+	got, err := ReadValues(bufio.NewReader(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
 	"proteus/internal/chunk"
@@ -535,6 +536,9 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			w.Header().Set("X-Proteus-Source", source.String())
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			// A page is larger than net/http's 2 KiB sniffing buffer, so
+			// without a length every response goes out chunked.
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			_, _ = w.Write(data)
 		case http.MethodPut:
 			body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))

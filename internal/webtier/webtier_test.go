@@ -218,7 +218,9 @@ func TestDatabaseShieldedDuringTransition(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	e := newEnv(t, 2, 2)
+	// Paper-sized pages, so the response is over net/http's 2 KiB
+	// pre-chunking buffer like the pages the live stack serves.
+	e := buildEnv(t, clustertest.Opts{Nodes: 2, InitialActive: 2}, envShape{pageSize: 4096})
 	srv := httptest.NewServer(e.front)
 	defer srv.Close()
 
@@ -236,6 +238,11 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if string(body) != string(e.corpus.Page(3)) {
 		t.Fatal("body mismatch")
+	}
+	// It goes out with its length only because the handler sets it.
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("ContentLength %d, TransferEncoding %v; want %d and none",
+			resp.ContentLength, resp.TransferEncoding, len(body))
 	}
 
 	resp, err = srv.Client().Get(srv.URL + "/page/bogus-key")
