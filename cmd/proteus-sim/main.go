@@ -19,7 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"proteus/internal/cluster"
+	"proteus/internal/provision"
 	"proteus/internal/sim"
 	"proteus/internal/wiki"
 	"proteus/internal/workload"
@@ -83,9 +83,13 @@ func main() {
 	cfg.DisableDigest = *noDigest
 	cfg.Seed = *seed
 	if *controller {
-		cfg.Controller = cluster.NewController(cfg.CacheServers, cfg.PerServerCapacity)
-		cfg.Controller.Bound = 300 * time.Millisecond
-		cfg.Controller.Reference = 200 * time.Millisecond
+		cfg.Policy = provision.LegacyController{
+			Reference:         200 * time.Millisecond,
+			Bound:             300 * time.Millisecond,
+			PerServerCapacity: cfg.PerServerCapacity,
+			Min:               1,
+			Max:               cfg.CacheServers,
+		}
 	}
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)

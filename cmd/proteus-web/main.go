@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -32,6 +31,7 @@ import (
 	"proteus/internal/database"
 	"proteus/internal/hotkey"
 	"proteus/internal/metrics"
+	"proteus/internal/provision"
 	"proteus/internal/webtier"
 	"proteus/internal/wiki"
 )
@@ -125,10 +125,18 @@ func main() {
 	})
 
 	if *autoscale > 0 {
-		ctrl := cluster.NewController(len(addrs), *capacity)
+		// The paper's evaluation policy: a 0.4 s reference under a 0.5 s
+		// delay bound.
+		policy := provision.LegacyController{
+			Reference:         400 * time.Millisecond,
+			Bound:             500 * time.Millisecond,
+			PerServerCapacity: *capacity,
+			Min:               1,
+			Max:               len(addrs),
+		}
 		sup, err := cluster.NewSupervisor(cluster.SupervisorConfig{
 			Coordinator: coord,
-			Controller:  ctrl,
+			Policy:      policy,
 			Every:       *autoscale,
 			Logger:      log.Default(),
 			Sample: func() cluster.Sample {
@@ -147,33 +155,14 @@ func main() {
 		}
 		sup.Start()
 		defer sup.Stop()
-		log.Printf("autoscaling every %v (%s)", *autoscale, ctrl)
+		log.Printf("autoscaling every %v (%s %+v)", *autoscale, policy.Name(), policy)
 	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/page/", measured)
 	mux.Handle("/pages", measured)
 	mux.Handle("/stats", front)
-	mux.HandleFunc("/admin/active", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			fmt.Fprintf(w, "%d\n", coord.Active())
-		case http.MethodPost:
-			n, err := strconv.Atoi(r.URL.Query().Get("n"))
-			if err != nil {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			if err := coord.SetActive(n); err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			log.Printf("provisioning: active -> %d (transition window %v)", n, *ttl)
-			fmt.Fprintf(w, "active %d\n", coord.Active())
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
+	mux.HandleFunc("/admin/active", coord.AdminActive)
 
 	mux.HandleFunc("/admin/hot", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {

@@ -20,6 +20,7 @@ import (
 	"proteus/internal/cluster"
 	"proteus/internal/database"
 	"proteus/internal/metrics"
+	"proteus/internal/provision"
 	"proteus/internal/webtier"
 	"proteus/internal/wiki"
 )
@@ -59,12 +60,16 @@ func main() {
 		windowMu sync.Mutex
 		window   metrics.Histogram
 	)
-	ctrl := cluster.NewController(4, 400) // ~400 req/s per server
-	ctrl.Bound = 30 * time.Millisecond
-	ctrl.Reference = 15 * time.Millisecond
+	policy := provision.LegacyController{
+		Reference:         15 * time.Millisecond,
+		Bound:             30 * time.Millisecond,
+		PerServerCapacity: 400, // ~400 req/s per server
+		Min:               1,
+		Max:               4,
+	}
 	sup, err := cluster.NewSupervisor(cluster.SupervisorConfig{
 		Coordinator: coord,
-		Controller:  ctrl,
+		Policy:      policy,
 		Every:       500 * time.Millisecond,
 		Sample: func() cluster.Sample {
 			windowMu.Lock()

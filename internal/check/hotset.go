@@ -2,10 +2,10 @@ package check
 
 import "sort"
 
-// Hot-key replication, model side: the oracle's mirror of
-// cluster.Coordinator's hot set (internal/cluster/hotset.go) and
-// sim.Harness's (internal/sim/harness_hot.go). The invariant all three
-// maintain, and the replica-consistency probe checks on the plane:
+// Hot-key replication, model side: the oracle's independent model of
+// the hot set both planes run (internal/transition/hotset.go). The
+// invariant the machine maintains, and the replica-consistency probe
+// checks on the plane:
 //
 //	hot(k) => no two reachable current owners of k hold different values
 //
@@ -14,8 +14,8 @@ import "sort"
 // (promote, post-flip hot sync) or demotes (failed write fan-out,
 // unreachable owner at sync time).
 
-// ringsFor returns the replica depth key resolves at, mirroring
-// Coordinator.RingsFor (the conformance base depth is always 1).
+// ringsFor returns the replica depth key resolves at, modelling
+// Epoch.RingsFor (the conformance base depth is always 1).
 func (o *Oracle) ringsFor(key string) int {
 	if o.hotRings <= 1 {
 		return 1
@@ -70,10 +70,10 @@ func (o *Oracle) LastHotSync() (installs, hotBefore int) {
 	return o.lastSyncInstalls, o.lastSyncHot
 }
 
-// ApplyPromote mirrors Coordinator.Promote / Harness.Promote: if every
-// full-depth owner is reachable, the primary's state is copied onto
-// every non-primary owner and the key is marked hot. Reports whether
-// the key is hot on return.
+// ApplyPromote models Machine.Promote: if every full-depth owner is
+// reachable, the primary's state is copied onto every non-primary
+// owner and the key is marked hot. Reports whether the key is hot on
+// return.
 func (o *Oracle) ApplyPromote(key string) bool {
 	if o.hotRings <= 1 {
 		return false
@@ -88,8 +88,8 @@ func (o *Oracle) ApplyPromote(key string) bool {
 	return true
 }
 
-// ApplyDemote mirrors Coordinator.Demote / Harness.Demote: unmark
-// only; copies linger invisibly. Reports whether the key was hot.
+// ApplyDemote models Machine.Demote: unmark only; copies linger
+// invisibly. Reports whether the key was hot.
 func (o *Oracle) ApplyDemote(key string) bool {
 	if _, ok := o.hot[key]; !ok {
 		return false

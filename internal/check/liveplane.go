@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"proteus/internal/faultinject"
@@ -159,18 +158,7 @@ func (p *livePlane) Set(key, value string) Observation {
 
 func (p *livePlane) Scale(n int) Observation {
 	//lint:allow transdeterminism the live plane half of the conformance harness drives real network components on purpose; determinism is enforced on the model side
-	err := p.env.Coord.SetActive(n)
-	if err != nil && strings.HasPrefix(err.Error(), "cluster: digest from node") {
-		// A relocation source that cannot produce a digest degrades its
-		// keys to the database path; the transition proceeds. The oracle
-		// models the degradation, so the surfaced error is expected
-		// whenever a source is unreachable — not a violation.
-		err = nil
-	}
-	if err != nil {
-		return Observation{Err: err.Error()}
-	}
-	return Observation{}
+	return scaleObservation(p.env.Coord.SetActive(n))
 }
 
 func (p *livePlane) Promote(key string) Observation {

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -145,7 +146,7 @@ func (o *Oracle) ApplySet(key string) string {
 	return val
 }
 
-// fanoutWrite mirrors webtier storeAll / sim.Harness fanoutWrite: the
+// fanoutWrite models the write fan-out rule (Machine.Fanout): the
 // value lands on every reachable distinct owner; any failed copy of a
 // multi-owner write demotes the key.
 func (o *Oracle) fanoutWrite(key, val string) {
@@ -187,7 +188,7 @@ func (o *Oracle) ApplyGet(key string) (value string, src Source, found bool) {
 			if old == owner || tr.digests[old] == nil || !tr.digests[old][key] {
 				continue
 			}
-			if containsServer(consulted, old) {
+			if slices.Contains(consulted, old) {
 				continue
 			}
 			consulted = append(consulted, old)
@@ -215,16 +216,7 @@ func (o *Oracle) ApplyGet(key string) (value string, src Source, found bool) {
 	return v, SourceDB, true
 }
 
-func containsServer(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// ApplyScale mirrors cluster.Coordinator.SetActive: finalize any pending
+// ApplyScale models Machine.SetActive: finalize any pending
 // window, power on growth, snapshot exact digest sets of every reachable
 // relocation source, flip routing, arm the TTL deadline. degraded counts
 // relocation sources whose digest snapshot failed (unreachable), which

@@ -1,15 +1,14 @@
 // Package cluster is the Proteus provisioning actuator for a real
-// (networked) cache fleet: it owns the fixed provisioning order, the
-// deterministic placement, and the smooth-transition protocol of
-// Section IV — broadcast digests, re-route, and power servers off only
-// after the TTL window during which hot data migrates on demand. The
-// paper's point that any provisioning *policy* can sit on top is
-// honoured by the Controller type (a delay-feedback policy like the
-// evaluation's) being separate from the actuator.
+// (networked) cache fleet: it owns the fixed provisioning order and
+// drives the smooth-transition protocol of Section IV (the shared
+// machine in internal/transition) over real servers — broadcast
+// digests, re-route, and power servers off only after the TTL window
+// during which hot data migrates on demand. The paper's point that any
+// provisioning *policy* can sit on top is honoured by the Supervisor
+// taking any provision.Policy, separate from the actuator.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -20,6 +19,7 @@ import (
 	"proteus/internal/faultinject"
 	"proteus/internal/hotkey"
 	"proteus/internal/telemetry"
+	"proteus/internal/transition"
 )
 
 // Node abstracts one controllable cache server in the fixed
@@ -88,95 +88,31 @@ type Config struct {
 	Events *telemetry.EventLog
 }
 
-// Coordinator executes provisioning decisions over a live fleet. It is
-// safe for concurrent use; Route is wait-free with respect to
-// provisioning (readers see a consistent snapshot).
+// Coordinator executes provisioning decisions over a live fleet: it is
+// the transition machine's Fleet over cacheclient pools and Nodes, plus
+// the online hot-key tracker. It is safe for concurrent use; every
+// routing accessor is one load of the machine's current epoch.
 type Coordinator struct {
-	placement   *core.Placement
-	replicated  *core.Replicated
-	baseRings   int // Section III-E depth: every key is stored this deep
-	hotReplicas int // promoted keys are stored this deep (>= baseRings)
-	nodes       []Node
-	clients     []*cacheclient.Client
-	ttl         time.Duration
-	after       func(time.Duration, func()) func()
-	faults      *faultinject.Injector
-
-	hotMu    sync.RWMutex
-	hotSet   map[string]struct{}
-	hotEpoch uint64
+	m       *transition.Machine
+	nodes   []Node
+	clients []*cacheclient.Client
 
 	trackerMu sync.Mutex
 	tracker   *hotkey.Tracker
 
-	events          *telemetry.EventLog
 	transitions     *telemetry.Counter
 	digestSnapshots *telemetry.Counter
 	digestFailures  *telemetry.Counter
 	powerOns        *telemetry.Counter
 	powerOffs       *telemetry.Counter
 	activeGauge     *telemetry.Gauge
-
-	// provMu serializes provisioning operations (SetActive, transition
-	// finalization, Close) end to end, including the node power
-	// actuation they perform. The routing lock mu below is held only
-	// for short state flips, never across power actuation or network
-	// I/O, so request routing is never stalled behind a slow power-off
-	// (a node draining connections can take seconds — exactly the
-	// latency spike the smooth transition exists to avoid).
-	// Lock order: provMu before mu; mu is never held while acquiring
-	// provMu.
-	provMu sync.Mutex
-
-	mu       sync.RWMutex
-	active   int
-	trans    *Transition
-	transGen uint64 // incremented per installed transition; stale TTL callbacks no-op
-	cancel   func()
-	closed   bool
-}
-
-// Transition is the in-flight smooth-transition window.
-type Transition struct {
-	FromActive int
-	ToActive   int
-	// Digests holds the broadcast content digests, indexed by node;
-	// nil entries were not snapshotted.
-	Digests []*bloom.Filter
-	// Deadline is when old owners may be powered off.
-	Deadline time.Time
 }
 
 // ErrClosed is returned after Close.
-var ErrClosed = errors.New("cluster: coordinator closed")
+var ErrClosed = transition.ErrClosed
 
 // New builds a Coordinator and powers on the initial prefix.
 func New(cfg Config) (*Coordinator, error) {
-	if len(cfg.Nodes) == 0 {
-		return nil, errors.New("cluster: at least one node required")
-	}
-	if cfg.InitialActive < 1 || cfg.InitialActive > len(cfg.Nodes) {
-		return nil, fmt.Errorf("cluster: InitialActive %d out of range 1..%d", cfg.InitialActive, len(cfg.Nodes))
-	}
-	if cfg.TTL <= 0 {
-		return nil, errors.New("cluster: TTL must be positive")
-	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
-	if cfg.HotReplicas < 1 {
-		cfg.HotReplicas = 1
-	}
-	if cfg.HotReplicas < cfg.Replicas {
-		cfg.HotReplicas = cfg.Replicas
-	}
-	// One geometry serves both layers: rings [0, Replicas) hold every
-	// key, promoted keys extend into rings [Replicas, HotReplicas).
-	replicated, err := core.NewReplicatedBackend(cfg.Backend, len(cfg.Nodes), cfg.HotReplicas)
-	if err != nil {
-		return nil, err
-	}
-	placement := replicated.Placement()
 	newClient := cfg.NewClient
 	if newClient == nil {
 		maxConns := cfg.ClientMaxConns
@@ -194,20 +130,8 @@ func New(cfg Config) (*Coordinator, error) {
 			return func() { t.Stop() }
 		}
 	}
-	c := &Coordinator{
-		placement:   placement,
-		replicated:  replicated,
-		baseRings:   cfg.Replicas,
-		hotReplicas: cfg.HotReplicas,
-		nodes:       cfg.Nodes,
-		ttl:         cfg.TTL,
-		after:       after,
-		faults:      cfg.Faults,
-		events:      cfg.Events,
-		active:      cfg.InitialActive,
-		hotSet:      make(map[string]struct{}),
-	}
-	if cfg.HotTracker != nil && cfg.HotReplicas > cfg.Replicas {
+	c := &Coordinator{nodes: cfg.Nodes}
+	if cfg.HotTracker != nil && cfg.HotReplicas > max(cfg.Replicas, 1) {
 		c.tracker = hotkey.NewTracker(*cfg.HotTracker)
 	}
 	phases := cfg.Telemetry.Counter("proteus_cluster_phase_total",
@@ -219,311 +143,190 @@ func New(cfg Config) (*Coordinator, error) {
 	c.powerOffs = phases.With("power_off")
 	c.activeGauge = cfg.Telemetry.Gauge("proteus_cluster_active_nodes",
 		"current active-prefix size").With()
-	c.activeGauge.Set(float64(cfg.InitialActive))
-	if c.faults != nil {
-		c.faults.OnCrash(func(server int) {
+	if cfg.Faults != nil {
+		cfg.Faults.OnCrash(func(server int) {
 			if server >= 0 && server < len(c.nodes) {
 				_ = c.nodes[server].PowerOff()
 			}
 		})
 	}
-	for i := 0; i < cfg.InitialActive; i++ {
-		if err := cfg.Nodes[i].PowerOn(); err != nil {
-			return nil, fmt.Errorf("cluster: powering on node %d: %w", i, err)
-		}
-		c.powerOns.Inc()
-		c.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
-	}
 	c.clients = make([]*cacheclient.Client, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
 		c.clients[i] = newClient(n.Addr())
 	}
+	m, err := transition.New(transition.Config{
+		Fleet:         fleet{c},
+		Nodes:         len(cfg.Nodes),
+		InitialActive: cfg.InitialActive,
+		TTL:           cfg.TTL,
+		Replicas:      cfg.Replicas,
+		HotReplicas:   cfg.HotReplicas,
+		Backend:       cfg.Backend,
+		After:         after,
+		Faults:        cfg.Faults,
+		Events:        cfg.Events,
+	})
+	if err != nil {
+		for _, cl := range c.clients {
+			cl.Close()
+		}
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	c.m = m
+	c.activeGauge.Set(float64(cfg.InitialActive))
 	return c, nil
 }
+
+// fleet is the Coordinator as the machine sees it: power through the
+// Nodes, everything else through the per-node protocol clients.
+type fleet struct{ c *Coordinator }
+
+func (f fleet) PowerOn(i int) error {
+	if err := f.c.nodes[i].PowerOn(); err != nil {
+		return err
+	}
+	f.c.powerOns.Inc()
+	return nil
+}
+
+func (f fleet) PowerOff(i int) {
+	_ = f.c.nodes[i].PowerOff() // best-effort, see transition.Fleet
+	// The pooled connections died with the node. Dropping them here,
+	// and the breaker state with them, lets a regrow dial the
+	// power-cycled node fresh; left in the pool they are found dead one
+	// failed operation at a time, enough of them to open the breaker
+	// against a healthy node.
+	f.c.clients[i].DropIdle()
+	f.c.powerOffs.Inc()
+}
+
+func (f fleet) Digest(i int) (*bloom.Filter, error) {
+	d, err := f.c.clients[i].FetchDigest()
+	if err != nil {
+		f.c.digestFailures.Inc()
+		return nil, err
+	}
+	f.c.digestSnapshots.Inc()
+	return d, nil
+}
+
+func (f fleet) Ping(i int) error {
+	_, err := f.c.clients[i].Version()
+	return err
+}
+
+func (f fleet) Get(i int, key string) ([]byte, bool, error) { return f.c.clients[i].Get(key) }
+
+func (f fleet) Set(i int, key string, value []byte) error { return f.c.clients[i].Set(key, value, 0) }
+
+func (f fleet) Delete(i int, key string) error {
+	_, err := f.c.clients[i].Delete(key)
+	return err
+}
+
+// Epoch returns the current routing state: one atomic load. Request
+// paths load it once and route with the result, so every decision of
+// one request sees the same prefix, window and hot set.
+func (c *Coordinator) Epoch() *transition.Epoch { return c.m.Epoch() }
 
 // Placement exposes the shared routing table when the backend is
 // Algorithm 1, and nil for the O(1) backends (route through Route /
 // RouteRing instead).
-func (c *Coordinator) Placement() *core.Placement { return c.placement }
+func (c *Coordinator) Placement() *core.Placement { return c.m.Geometry().Placement() }
 
 // Backend returns the placement geometry in use.
-func (c *Coordinator) Backend() core.Backend { return c.replicated.Backend() }
+func (c *Coordinator) Backend() core.Backend { return c.m.Geometry().Backend() }
 
 // Replicas returns the Section III-E replication factor applied to
-// every key (1 when disabled). Promoted keys go deeper; see
-// HotReplicas and RingsFor.
-func (c *Coordinator) Replicas() int { return c.baseRings }
+// every key (1 when disabled). Promoted keys go deeper; see RingsFor.
+func (c *Coordinator) Replicas() int { return c.m.Replicas() }
 
 // Active returns the current active-prefix size.
-func (c *Coordinator) Active() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.active
-}
+func (c *Coordinator) Active() int { return c.Epoch().Active }
 
 // Client returns the protocol client for node i.
 func (c *Coordinator) Client(i int) *cacheclient.Client { return c.clients[i] }
 
 // InTransition reports whether a smooth transition is in progress.
-func (c *Coordinator) InTransition() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.trans != nil
-}
+func (c *Coordinator) InTransition() bool { return c.Epoch().Open() }
 
-// Draining reports whether a scale-down's TTL window is still open:
-// dying servers are serving hot data for on-demand migration and must
-// not be powered off early. Provisioning policy actuation gates
-// scale-downs on this (see Supervisor.tick and provision.State).
-func (c *Coordinator) Draining() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.trans != nil && c.trans.ToActive < c.trans.FromActive
-}
-
-// CurrentTransition returns a snapshot of the in-flight transition, or
-// nil when the cluster is stable. The digest slice is shared (digests
-// are immutable); the struct itself is a copy.
-func (c *Coordinator) CurrentTransition() *Transition {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.trans == nil {
-		return nil
-	}
-	snapshot := *c.trans
-	return &snapshot
-}
-
-// Route is the web tier's per-request routing decision: the new owner
-// index, plus — during a transition, when the key's old owner differs
-// and its digest claims the key is hot — the old owner to try first
-// for on-demand migration (Algorithm 2 lines 6-8).
+// Route is RouteRing on the primary ring.
 func (c *Coordinator) Route(key string) (newOwner int, oldOwner int, tryOld bool) {
-	return c.RouteRing(key, 0)
+	return c.Epoch().Route(key, 0)
 }
 
-// RouteRing is Route on one replication ring (ring 0 is the primary).
-// With replication enabled, a key is stored on its owner on every ring
-// (Section III-E); the web tier reads through the rings in order.
+// RouteRing is the per-request routing decision on one replication
+// ring; see transition.Epoch.Route.
 func (c *Coordinator) RouteRing(key string, ring int) (newOwner int, oldOwner int, tryOld bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	newOwner = c.replicated.OwnerOnRing(key, ring, c.active)
-	if c.trans == nil {
-		return newOwner, 0, false
-	}
-	old := c.replicated.OwnerOnRing(key, ring, c.trans.FromActive)
-	if old == newOwner {
-		return newOwner, 0, false
-	}
-	digest := c.trans.Digests[old]
-	if digest == nil || !digest.Contains(key) {
-		return newOwner, 0, false
-	}
-	return newOwner, old, true
+	return c.Epoch().Route(key, ring)
 }
 
 // WriteOwners returns the distinct servers that must store the key at
-// the current active-prefix size (one per ring, deduplicated; ring
-// collisions reduce the copy count, Eq. 3). Hot keys resolve at the
-// deeper HotReplicas depth.
-func (c *Coordinator) WriteOwners(key string) []int {
-	rings := c.RingsFor(key)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.replicated.DistinctOwnersN(key, c.active, rings)
-}
+// the current active-prefix size; see transition.Epoch.Owners.
+func (c *Coordinator) WriteOwners(key string) []int { return c.Epoch().Owners(key) }
+
+// IsHot reports whether the key is currently in the hot set.
+func (c *Coordinator) IsHot(key string) bool { return c.Epoch().IsHot(key) }
+
+// HotKeys returns the hot set, sorted.
+func (c *Coordinator) HotKeys() []string { return c.Epoch().HotKeys() }
+
+// RingsFor returns the replica depth a key resolves at.
+func (c *Coordinator) RingsFor(key string) int { return c.Epoch().RingsFor(key) }
 
 // SetActive executes one provisioning decision: grow or shrink the
-// active prefix to n with a smooth transition. A decision arriving
-// while a transition is pending finalizes the pending one first.
+// active prefix to n with a smooth transition. A
+// *transition.DegradedDigestError reports a transition that did happen
+// with some digests missing; any other error means nothing changed.
 func (c *Coordinator) SetActive(n int) error {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	flipped, err := c.m.SetActive(n)
+	if flipped {
+		c.transitions.Inc()
+		c.activeGauge.Set(float64(n))
 	}
-	if n < 1 || n > len(c.nodes) {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: target %d out of range 1..%d", n, len(c.nodes))
-	}
-	if n == c.active && c.trans == nil {
-		c.mu.Unlock()
-		return nil
-	}
-	expired := c.finalizeLocked()
-	from := c.active
-	c.mu.Unlock()
-	//lint:allow lockorder provMu is the provisioning serialization lock, held across power actuation by design; request routing takes only mu and never waits on provMu
-	c.powerOffExpired(expired)
-
-	if n == from {
-		return nil
-	}
-	if n > from {
-		// Boot the new servers before re-routing anything to them.
-		for i := from; i < n; i++ {
-			if err := c.nodes[i].PowerOn(); err != nil {
-				return fmt.Errorf("cluster: powering on node %d: %w", i, err)
-			}
-			c.powerOns.Inc()
-			c.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
-		}
-	}
-
-	// Broadcast: snapshot the digest of every old owner that may hold
-	// hot data for re-mapped keys (all running old-prefix nodes; when
-	// shrinking, only the dying nodes' keys move, but snapshotting the
-	// prefix is correct in both directions and matches the paper's
-	// "digests will be broadcasted" step).
-	digests := make([]*bloom.Filter, len(c.nodes))
-	lo, hi := relocationSources(from, n)
-	var firstErr error
-	for i := lo; i < hi; i++ {
-		d, err := c.clients[i].FetchDigest()
-		if err != nil {
-			// A node that cannot produce a digest degrades that node's
-			// keys to the database path; the transition still proceeds.
-			c.digestFailures.Inc()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: digest from node %d: %w", i, err)
-			}
-			continue
-		}
-		c.digestSnapshots.Inc()
-		c.events.Record(telemetry.Event{Kind: telemetry.EventDigestBuild, Node: i})
-		digests[i] = d
-	}
-	c.events.Record(telemetry.Event{Kind: telemetry.EventDigestBroadcast, Node: -1})
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.trans = &Transition{FromActive: from, ToActive: n, Digests: digests, Deadline: time.Now().Add(c.ttl)}
-	c.active = n
-	c.transGen++
-	gen := c.transGen
-	c.cancel = c.after(c.ttl, func() { c.expireTransition(gen) })
-	c.mu.Unlock()
-	c.transitions.Inc()
-	c.activeGauge.Set(float64(n))
-	c.events.Record(telemetry.Event{Kind: telemetry.EventOwnershipFlip, Node: -1, From: from, To: n})
-	if c.faults != nil {
-		// Fire OpTransition rules (crash/partition at this transition
-		// ordinal) after the new routing table is installed, so a crash
-		// here lands mid-transition, the hardest point for correctness.
-		c.faults.TransitionStarted()
-	}
-	// The flip may have handed a hot key an owner set containing a node
-	// with a stale copy from an earlier hot era (scale-back returns old
-	// replicas to duty); re-establish the replica invariant before any
-	// reads race the copies.
-	c.hotSyncAfterFlip()
-	return firstErr
-}
-
-// relocationSources returns the node index range whose keys move when
-// the prefix changes from -> to: the full old prefix when growing, the
-// dying suffix when shrinking.
-func relocationSources(from, to int) (lo, hi int) {
-	if to > from {
-		return 0, from
-	}
-	return to, from
-}
-
-// expireTransition is the TTL callback for transition generation gen.
-// A stale callback — one whose transition was already finalized by a
-// later SetActive while the callback waited for provMu — must not
-// finalize the transition that replaced it.
-func (c *Coordinator) expireTransition(gen uint64) {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
-	c.mu.Lock()
-	if c.transGen != gen {
-		c.mu.Unlock()
-		return
-	}
-	tr := c.finalizeLocked()
-	c.mu.Unlock()
-	//lint:allow lockorder provMu is the provisioning serialization lock, held across power actuation by design; request routing takes only mu and never waits on provMu
-	c.powerOffExpired(tr)
-}
-
-// finalizeLocked ends the transition window's routing bookkeeping:
-// after TTL every still-hot key has migrated, so the routing state
-// forgets the old prefix and the TTL timer is cancelled. It returns
-// the finalized transition; the caller must pass it to
-// powerOffExpired after releasing mu (and while holding provMu), so
-// dying servers drain without stalling request routing.
-func (c *Coordinator) finalizeLocked() *Transition {
-	if c.trans == nil {
-		return nil
-	}
-	if c.cancel != nil {
-		c.cancel()
-		c.cancel = nil
-	}
-	tr := c.trans
-	c.trans = nil
-	return tr
-}
-
-// powerOffExpired powers off a finalized transition's dying nodes and
-// emits the finalization events. It runs under provMu only — never
-// under mu — because powering a node off blocks on connection drain.
-func (c *Coordinator) powerOffExpired(tr *Transition) {
-	if tr == nil {
-		return
-	}
-	if tr.ToActive < tr.FromActive {
-		for i := tr.ToActive; i < tr.FromActive; i++ {
-			// Best-effort: a node that fails to power off keeps burning
-			// power but stays correct.
-			_ = c.nodes[i].PowerOff()
-			// The pooled connections died with the node. Dropping them
-			// here, and the breaker state with them, lets a regrow dial
-			// the power-cycled node fresh; left in the pool they are
-			// found dead one failed operation at a time, enough of them
-			// to open the breaker against a healthy node.
-			c.clients[i].DropIdle()
-			c.powerOffs.Inc()
-			c.events.Record(telemetry.Event{Kind: telemetry.EventPowerOff, Node: i})
-		}
-	}
-	c.events.Record(telemetry.Event{Kind: telemetry.EventTTLExpiry, Node: -1, From: tr.FromActive, To: tr.ToActive})
+	return err
 }
 
 // FinalizeNow ends a pending transition immediately (tests, shutdown).
-func (c *Coordinator) FinalizeNow() {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
-	c.mu.Lock()
-	tr := c.finalizeLocked()
-	c.mu.Unlock()
-	//lint:allow lockorder provMu is the provisioning serialization lock, held across power actuation by design; request routing takes only mu and never waits on provMu
-	c.powerOffExpired(tr)
+func (c *Coordinator) FinalizeNow() { c.m.FinalizeNow() }
+
+// Promote moves a key into the hot set; see transition.Machine.Promote.
+// The error is always nil: a veto is a false return.
+func (c *Coordinator) Promote(key string) (bool, error) { return c.m.Promote(key), nil }
+
+// Demote removes a key from the hot set, reporting whether it was hot.
+func (c *Coordinator) Demote(key string) bool { return c.m.Demote(key) }
+
+// Fanout writes one key to every distinct owner under e, demoting it
+// if a replica missed the write; see transition.Machine.Fanout.
+func (c *Coordinator) Fanout(e *transition.Epoch, key string, write func(owner int) bool) {
+	c.m.Fanout(e, key, write)
+}
+
+// ObserveGet feeds one read into the online hot-key tracker (no-op
+// unless Config.HotTracker enabled it) and applies any window-boundary
+// promote/demote decisions. A promotion the cluster vetoes (owner
+// unreachable) is simply dropped; the tracker re-decides next window.
+func (c *Coordinator) ObserveGet(key string) {
+	if c.tracker == nil {
+		return
+	}
+	c.trackerMu.Lock()
+	changes := c.tracker.Observe(key)
+	c.trackerMu.Unlock()
+	for _, ch := range changes {
+		if ch.Promote {
+			c.m.Promote(ch.Key)
+		} else {
+			c.m.Demote(ch.Key)
+		}
+	}
 }
 
 // Close finalizes any transition and releases all clients. Nodes are
 // left in their current power state.
 func (c *Coordinator) Close() {
-	c.provMu.Lock()
-	defer c.provMu.Unlock()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	tr := c.finalizeLocked()
-	c.mu.Unlock()
-	//lint:allow lockorder provMu is the provisioning serialization lock, held across power actuation by design; request routing takes only mu and never waits on provMu
-	c.powerOffExpired(tr)
+	c.m.Close()
 	for _, cl := range c.clients {
 		cl.Close()
 	}

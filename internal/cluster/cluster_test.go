@@ -325,19 +325,3 @@ func TestLocalNodePowerCycleKeepsAddr(t *testing.T) {
 	}
 	node.PowerOff()
 }
-
-func TestRelocationSources(t *testing.T) {
-	cases := []struct {
-		from, to, lo, hi int
-	}{
-		{2, 3, 0, 2}, // grow: all old-prefix nodes donate
-		{5, 2, 2, 5}, // shrink: dying nodes donate
-		{3, 3, 0, 3},
-	}
-	for _, c := range cases {
-		lo, hi := relocationSources(c.from, c.to)
-		if c.from != c.to && (lo != c.lo || hi != c.hi) {
-			t.Errorf("relocationSources(%d,%d) = %d,%d want %d,%d", c.from, c.to, lo, hi, c.lo, c.hi)
-		}
-	}
-}

@@ -112,23 +112,23 @@ func TestCoordinatorReplication(t *testing.T) {
 	}
 }
 
-func TestCurrentTransitionSnapshot(t *testing.T) {
+func TestEpochSnapshot(t *testing.T) {
 	coord, _, timer := newTestCluster(t, 3, 3)
-	if coord.CurrentTransition() != nil {
+	if coord.Epoch().Open() {
 		t.Fatal("transition reported while stable")
 	}
 	if err := coord.SetActive(2); err != nil {
 		t.Fatal(err)
 	}
-	tr := coord.CurrentTransition()
-	if tr == nil || tr.FromActive != 3 || tr.ToActive != 2 {
-		t.Fatalf("CurrentTransition = %+v", tr)
-	}
-	if tr.Deadline.IsZero() {
-		t.Fatal("transition has no deadline")
+	ep := coord.Epoch()
+	if !ep.Open() || ep.From != 3 || ep.Active != 2 || !ep.Draining() {
+		t.Fatalf("Epoch = %+v", ep)
 	}
 	timer.Fire()
-	if coord.CurrentTransition() != nil {
-		t.Fatal("transition reported after finalize")
+	if after := coord.Epoch(); after.Open() || after.Seq <= ep.Seq {
+		t.Fatalf("epoch after finalize = %+v, loaded before = %+v", after, ep)
+	}
+	if !ep.Open() {
+		t.Fatal("a loaded epoch changed under its reader")
 	}
 }

@@ -53,14 +53,8 @@ type Supervisor struct {
 type SupervisorConfig struct {
 	// Coordinator actuates decisions (required).
 	Coordinator *Coordinator
-	// Policy decides fleet sizes. Either Policy or Controller is
-	// required; Policy wins when both are set.
+	// Policy decides fleet sizes (required).
 	Policy provision.Policy
-	// Controller is the legacy decision shim, adapted onto Policy for
-	// existing callers.
-	//
-	// Deprecated: pass Policy.
-	Controller *Controller
 	// Sample returns the ending slot's measurement and resets the
 	// window (required).
 	Sample func() Sample
@@ -81,19 +75,15 @@ type SupervisorConfig struct {
 
 // NewSupervisor builds a stopped supervisor; call Start.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
-	policy := cfg.Policy
-	if policy == nil && cfg.Controller != nil {
-		policy = cfg.Controller.Policy()
-	}
-	if cfg.Coordinator == nil || policy == nil || cfg.Sample == nil {
-		return nil, errors.New("cluster: supervisor needs coordinator, policy (or controller) and sample")
+	if cfg.Coordinator == nil || cfg.Policy == nil || cfg.Sample == nil {
+		return nil, errors.New("cluster: supervisor needs coordinator, policy and sample")
 	}
 	if cfg.Every <= 0 {
 		return nil, errors.New("cluster: supervisor slot width must be positive")
 	}
 	sup := &Supervisor{
 		coord:      cfg.Coordinator,
-		policy:     policy,
+		policy:     cfg.Policy,
 		sample:     cfg.Sample,
 		every:      cfg.Every,
 		logger:     cfg.Logger,
@@ -163,8 +153,12 @@ func (s *Supervisor) tick() {
 		}
 	}
 	m := s.sample()
-	current := s.coord.Active()
-	draining := s.coord.Draining()
+	// One epoch per decision: the prefix, the open window and its
+	// direction are read at a single instant, so a TTL expiry cannot
+	// fall between them.
+	ep := s.coord.Epoch()
+	current := ep.Active
+	draining := ep.Draining()
 	slot := s.slot
 	s.slot++
 	target := s.policy.Decide(provision.State{
@@ -174,7 +168,7 @@ func (s *Supervisor) tick() {
 		Delay:        m.Delay,
 		Rate:         m.Rate,
 		Active:       current,
-		InTransition: s.coord.InTransition(),
+		InTransition: ep.Open(),
 		Draining:     draining,
 	})
 	next := target.Servers

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"proteus/internal/provision"
 )
 
 func TestSupervisorValidation(t *testing.T) {
@@ -22,10 +24,16 @@ func TestSupervisorScalesFleet(t *testing.T) {
 		sample = Sample{Delay: 600 * time.Millisecond, Rate: 300}
 	)
 	decisions := make(chan [2]int, 64)
-	ctrl := NewController(4, 100)
+	policy := provision.LegacyController{
+		Reference:         400 * time.Millisecond,
+		Bound:             500 * time.Millisecond,
+		PerServerCapacity: 100,
+		Min:               1,
+		Max:               4,
+	}
 	sup, err := NewSupervisor(SupervisorConfig{
 		Coordinator: coord,
-		Controller:  ctrl,
+		Policy:      policy,
 		Sample: func() Sample {
 			mu.Lock()
 			defer mu.Unlock()

@@ -9,17 +9,14 @@ import "fmt"
 // log-factor PCH's windowing removes. Kept as the classic baseline so
 // sweeps and benches compare three backends, not two.
 //
-// The hash stream is identical to hashring.Jump's original
-// (PointSeeded with jumpSeed, then the published jump walk), so
-// promoting it to a backend changed no routing decision.
+// The hash stream is PointSeeded with jumpSeed, then the published
+// jump walk.
 type Jump struct {
 	n int
 }
 
 // jumpSeed decorrelates Jump's key stream from the ring position
-// hash. It predates the backend interface (hashring.Jump used the
-// same constant) and must not change: routing is a pure function of
-// it.
+// hash. It must not change: routing is a pure function of it.
 const jumpSeed = 0x6a756d7068617368 // "jumphash"
 
 // NewJump builds the jump backend for a fleet of n servers.
@@ -59,8 +56,7 @@ func (j *Jump) LookupSeeded(key string, seed uint64, active int) int {
 	return jumpHash(PointSeeded(key, jumpSeed^seed), active)
 }
 
-// JumpLookup is the stateless primary-ring route (no fleet clamp),
-// preserved for hashring.Jump's original contract.
+// JumpLookup is the stateless primary-ring route (no fleet clamp).
 //
 //lint:hotpath stateless jump routing decision
 func JumpLookup(key string, active int) int {

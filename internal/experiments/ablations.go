@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"proteus/internal/cluster"
+	"proteus/internal/provision"
 	"proteus/internal/sim"
 )
 
@@ -216,13 +216,17 @@ func AblationController(scale Scale) (*ControllerAblationResult, error) {
 	record("rate-plan", planRes)
 
 	ctrlCfg := base()
-	ctrl := cluster.NewController(ctrlCfg.CacheServers, ctrlCfg.PerServerCapacity)
 	// Scale the paper's 0.4s/0.5s targets to the compressed substrate:
 	// use the rate-plan run's overall tail as the bound.
 	total := planRes.Latency.Total()
-	ctrl.Bound = total.Quantile(0.999)
-	ctrl.Reference = ctrl.Bound * 4 / 5
-	ctrlCfg.Controller = ctrl
+	bound := total.Quantile(0.999)
+	ctrlCfg.Policy = provision.LegacyController{
+		Reference:         bound * 4 / 5,
+		Bound:             bound,
+		PerServerCapacity: ctrlCfg.PerServerCapacity,
+		Min:               1,
+		Max:               ctrlCfg.CacheServers,
+	}
 	ctrlRes, err := sim.Run(ctrlCfg)
 	if err != nil {
 		return nil, err

@@ -314,9 +314,9 @@ func (in *Injector) OnCrash(fn func(server int)) {
 
 // TransitionStarted advances the transition counter and fires any
 // OpTransition rules scheduled for it: KindCrash invokes the OnCrash
-// hooks, KindPartition blackholes the rule's server. Called by
-// cluster.Coordinator.SetActive and the simulator's beginTransition so
-// one fault schedule drives both planes.
+// hooks, KindPartition blackholes the rule's server. Called by the
+// shared transition machine at every ownership flip, so one fault
+// schedule drives both planes.
 func (in *Injector) TransitionStarted() {
 	in.mu.Lock()
 	in.transitions++

@@ -3,58 +3,15 @@ package hashring
 import (
 	"math"
 	"testing"
+
+	"proteus/internal/core"
 )
 
-func TestJumpRoutesInRange(t *testing.T) {
-	for _, active := range []int{1, 2, 7, 100} {
-		for _, k := range keys(1000) {
-			if s := (Jump{}).Route(k, active); s < 0 || s >= active {
-				t.Fatalf("Route(%q, %d) = %d", k, active, s)
-			}
-		}
-	}
-}
+// jumpRouter routes with Lamping & Veach's jump consistent hash, the
+// core "jump" placement backend's stateless primary ring.
+type jumpRouter struct{}
 
-func TestJumpBalanced(t *testing.T) {
-	ks := keys(200000)
-	for _, active := range []int{3, 10} {
-		counts := make([]int, active)
-		for _, k := range ks {
-			counts[(Jump{}).Route(k, active)]++
-		}
-		want := float64(len(ks)) / float64(active)
-		for s, c := range counts {
-			if math.Abs(float64(c)-want) > 0.05*want {
-				t.Errorf("active=%d server %d got %d keys, want ≈%g", active, s, c, want)
-			}
-		}
-	}
-}
-
-// Jump's defining property — the same one Proteus proves for its
-// placement: a step n -> n+1 moves exactly 1/(n+1) of keys, and only
-// to the new server.
-func TestJumpMinimalDisruption(t *testing.T) {
-	ks := keys(100000)
-	for _, n := range []int{2, 5, 9} {
-		moved := 0
-		for _, k := range ks {
-			a := (Jump{}).Route(k, n)
-			b := (Jump{}).Route(k, n+1)
-			if a != b {
-				if b != n {
-					t.Fatalf("key %q moved to %d, not the new server %d", k, b, n)
-				}
-				moved++
-			}
-		}
-		frac := float64(moved) / float64(len(ks))
-		want := 1.0 / float64(n+1)
-		if math.Abs(frac-want) > 0.01 {
-			t.Errorf("n=%d: moved %.4f, want ≈%.4f", n, frac, want)
-		}
-	}
-}
+func (jumpRouter) Route(key string, active int) int { return core.JumpLookup(key, active) }
 
 // Jump and the Proteus placement solve the same problem: compare their
 // worst-case balance over active prefixes. Both should be far above
@@ -64,7 +21,7 @@ func TestJumpComparableToProteusBalance(t *testing.T) {
 	jumpWorst, proteusWorst := 1.0, 1.0
 	p := newTestPlacement(t, 10)
 	for active := 2; active <= 10; active++ {
-		if r := loadRatio(Jump{}, active, ks); r < jumpWorst {
+		if r := loadRatio(jumpRouter{}, active, ks); r < jumpWorst {
 			jumpWorst = r
 		}
 		if r := loadRatio(Adapter{Placement: p}, active, ks); r < proteusWorst {

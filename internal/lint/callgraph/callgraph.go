@@ -95,7 +95,7 @@ type Fact struct {
 // LockSite is one direct mutex acquisition.
 type LockSite struct {
 	Pos token.Pos
-	Key string // canonical lock key, e.g. "cluster.Coordinator.mu"
+	Key string // canonical lock key, e.g. "transition.Machine.prov"
 }
 
 // SeqKind classifies one event in a function's linear source-order
@@ -129,10 +129,11 @@ type Edge struct {
 	Pos      token.Pos
 	Call     *ast.CallExpr
 	Callees  []*Node
-	Dynamic  bool // through a function or method value; callees unknown
-	Iface    bool // interface method call (Callees are CHA candidates)
-	Go       bool // spawned with a go statement
-	Deferred bool // inside a defer statement
+	Dynamic  bool   // through a function or method value; callees unknown
+	Iface    bool   // interface method call (Callees are CHA candidates)
+	IfacePkg string // import path of the package declaring that interface ("" if unnamed)
+	Go       bool   // spawned with a go statement
+	Deferred bool   // inside a defer statement
 }
 
 // Node is one function in the program: a declaration or a literal.

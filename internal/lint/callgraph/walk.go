@@ -377,6 +377,9 @@ func (p *Program) resolveEdge(n *Node, call *ast.CallExpr, isGo, isDefer bool) *
 	recvType := selection.Recv()
 	if iface, ok := recvType.Underlying().(*types.Interface); ok {
 		edge.Iface = true
+		if named, ok := recvType.(*types.Named); ok && named.Obj().Pkg() != nil {
+			edge.IfacePkg = named.Obj().Pkg().Path()
+		}
 		edge.Callees = p.chaCandidates(obj.Name(), iface)
 		if len(edge.Callees) == 0 {
 			// No module implementation: the dynamic target is outside
@@ -417,7 +420,7 @@ func (p *Program) chaCandidates(name string, iface *types.Interface) []*Node {
 
 // lockKey canonicalizes a mutex expression to an instance-insensitive
 // key. Struct fields key on the owning named type
-// ("cluster.Coordinator.mu"), package-level variables on the package
+// ("transition.Machine.prov"), package-level variables on the package
 // ("cache.initMu"), and locals/parameters on the enclosing function
 // (they cannot participate in cross-function ordering).
 func (p *Program) lockKey(n *Node, recv ast.Expr) string {

@@ -7,7 +7,7 @@
 // digraph is a potential deadlock, reported once per cycle with the
 // acquisition path of every hop.
 //
-// Lock keys are instance-insensitive ("cluster.Coordinator.mu" keys on
+// Lock keys are instance-insensitive ("transition.Machine.prov" keys on
 // the field's owning type, not the instance), so acquiring the same
 // key on two *different* instances is deliberately not an ordering
 // observation: call-derived self-edges are skipped, trading the rare

@@ -44,8 +44,12 @@ var ReplayCritical = map[string]bool{
 	"proteus/internal/provision": true,
 	"proteus/internal/sim":       true,
 	"proteus/internal/telemetry": true,
-	"proteus/internal/wiki":      true,
-	"proteus/internal/workload":  true,
+	// transition is the one Section IV machine all three drivers run;
+	// the DES reaches it on every flip. The wall clock enters only as
+	// the After the live coordinator injects at its boundary.
+	"proteus/internal/transition": true,
+	"proteus/internal/wiki":       true,
+	"proteus/internal/workload":   true,
 }
 
 // WallClock lists the time package functions that read or schedule

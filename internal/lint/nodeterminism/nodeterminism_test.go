@@ -1,6 +1,8 @@
 package nodeterminism_test
 
 import (
+	"go/build"
+	"strings"
 	"testing"
 
 	"proteus/internal/lint/linttest"
@@ -37,6 +39,33 @@ func TestScope(t *testing.T) {
 	} {
 		if applies(p) {
 			t.Errorf("%s is live-plane/harness; the wall clock is its boundary", p)
+		}
+	}
+}
+
+// A replay-critical package may import only replay-critical packages
+// of this module: a type or helper from outside the contract is how
+// wall-clock code gets within reach of the simulator. The one
+// exception is the conformance checker's live plane, which drives the
+// real stack on purpose (and carries lint:allow directives for it).
+func TestReplayCriticalImportClosure(t *testing.T) {
+	livePlane := map[string]bool{
+		"proteus/internal/testutil/clustertest": true,
+		"proteus/internal/webtier":              true,
+	}
+	for path := range nodeterminism.ReplayCritical {
+		pkg, err := build.ImportDir("../../../"+strings.TrimPrefix(path, "proteus/"), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, imp := range pkg.Imports {
+			if !strings.HasPrefix(imp, "proteus/") || nodeterminism.ReplayCritical[imp] {
+				continue
+			}
+			if path == "proteus/internal/check" && livePlane[imp] {
+				continue
+			}
+			t.Errorf("replay-critical %s imports %s, which is outside the determinism contract", path, imp)
 		}
 	}
 }

@@ -26,3 +26,19 @@ func pick(n int) int {
 func Double(n int) int {
 	return 2 * n
 }
+
+// WallFleet implements the replay-critical fixture's Fleet interface
+// with the wall clock: a live-plane driver handed in at the boundary.
+type WallFleet struct{}
+
+// Boot reads the wall clock.
+func (WallFleet) Boot() int64 { return time.Now().UnixNano() }
+
+// Stamper is an interface declared outside the contract.
+type Stamper interface{ Stamp() int64 }
+
+// WallStamper implements Stamper with the wall clock.
+type WallStamper struct{}
+
+// Stamp reads the wall clock.
+func (WallStamper) Stamp() int64 { return time.Now().UnixNano() }

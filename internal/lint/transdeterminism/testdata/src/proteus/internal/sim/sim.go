@@ -50,3 +50,18 @@ func scale(n int) int {
 func within() int64 {
 	return tick()
 }
+
+// Fleet is declared here, inside the contract: an injection point. The
+// wall-clock implementation in helper is a live driver's business, so
+// calling through the interface is not a finding.
+type Fleet interface{ Boot() int64 }
+
+func drive(f Fleet) int64 {
+	return f.Boot()
+}
+
+// An interface declared outside the contract is no injection point of
+// ours: its wall-clock implementations are still followed.
+func stamp(s helper.Stamper) int64 {
+	return s.Stamp() // want "call from replay-critical sim.stamp reaches wall-clock nondeterminism: helper.WallStamper.Stamp"
+}

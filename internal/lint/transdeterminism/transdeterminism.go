@@ -7,6 +7,15 @@
 // loophole where a critical package launders nondeterminism through a
 // helper in an unconstrained package.
 //
+// An interface a replay-critical package declares itself is an
+// injection point, exactly like a function-typed field (sim.Engine's
+// clock, transition.Config.After): the critical package cannot
+// construct the implementation a live-plane package hands in at its
+// boundary, so CHA candidates outside the contract are not followed
+// for it. The implementations inside the contract — the ones the
+// simulator binds — are checked at their own edges, and an interface
+// declared *outside* the contract is still followed everywhere.
+//
 // It additionally reports map-iteration-order escapes observed
 // directly in critical packages — a nondeterminism source the
 // per-package check does not model, since recognizing it needs the
@@ -51,6 +60,9 @@ func run(prog *callgraph.Program) ([]analysis.Diagnostic, error) {
 		}
 		// Escapes through calls that leave the replay-critical set.
 		for _, e := range n.Calls {
+			if e.Iface && nodeterminism.ReplayCritical[e.IfacePkg] {
+				continue // injection point; see the package comment
+			}
 			for _, kind := range escapeKinds {
 				for _, callee := range e.Callees {
 					if nodeterminism.ReplayCritical[callee.Pkg.Path] {

@@ -103,22 +103,7 @@ func Start(cfg Config) (*Stack, error) {
 	mux.Handle("/page/", front)
 	mux.Handle("/pages", front)
 	mux.Handle("/stats", front)
-	mux.HandleFunc("/admin/active", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			fmt.Fprintf(w, "%d\n", coord.Active())
-			return
-		}
-		var target int
-		if _, err := fmt.Sscanf(r.URL.Query().Get("n"), "%d", &target); err != nil {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		if err := coord.SetActive(target); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		fmt.Fprintf(w, "active %d\n", coord.Active())
-	})
+	mux.HandleFunc("/admin/active", coord.AdminActive)
 	srv := &http.Server{Handler: mux}
 	//lint:allow goleak the HTTP server goroutine lives until Close, which unblocks Serve
 	go func() { _ = srv.Serve(ln) }()

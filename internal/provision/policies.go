@@ -100,13 +100,12 @@ func (o Oracle) Decide(s State) Target {
 	return Target{Servers: n, Reason: reason}
 }
 
-// LegacyController is the original two-threshold heuristic that shipped
-// as cluster.Controller before this package existed: feed-forward from
-// the measured rate, grow one past it on a bound violation, shed one
-// server per slot when the delay is comfortably under the reference.
-// cluster.Controller delegates here verbatim, so the historical
-// behaviour stays available (and bit-identical) as a comparison
-// baseline; new callers should prefer DelayFeedback.
+// LegacyController is the original two-threshold heuristic of the
+// paper's evaluation (a 0.4 s reference under a 0.5 s delay bound):
+// feed-forward from the measured rate, grow one past it on a bound
+// violation, shed one server per slot when the delay is comfortably
+// under the reference. It stays as the historical comparison baseline
+// (ablation A3); new callers should prefer DelayFeedback.
 type LegacyController struct {
 	// Reference is the target high-percentile response time.
 	Reference time.Duration

@@ -67,9 +67,8 @@ func TestOracleLookahead(t *testing.T) {
 	}
 }
 
-// TestLegacyEquivalence pins the historical cluster.Controller rule the
-// shim delegates to (the same cases cluster/controller_test.go checks
-// through the deprecated API).
+// TestLegacyEquivalence pins the historical two-threshold rule (the
+// paper's evaluation policy) case by case.
 func TestLegacyEquivalence(t *testing.T) {
 	l := LegacyController{
 		Reference:         400 * time.Millisecond,
@@ -100,4 +99,46 @@ func TestLegacyEquivalence(t *testing.T) {
 				c.name, c.active, c.delay, c.rate, got.Servers, got.Reason, c.want, c.wantReason)
 		}
 	}
+}
+
+// Driving the legacy controller with the diurnal curve must track it:
+// more servers at peak than at valley, and no thrashing (steps of one).
+func TestLegacyTracksDiurnalCurve(t *testing.T) {
+	c := LegacyController{Reference: 400 * time.Millisecond, Bound: 500 * time.Millisecond, PerServerCapacity: 40, Min: 1, Max: 10}
+	current := 5
+	var history []int
+	for slot := 0; slot < 48; slot++ {
+		// Synthetic rate curve: valley 133, peak 267.
+		frac := float64(slot) / 48
+		rate := 200 * (1 + (1.0/3)*cosApprox(frac))
+		// Delay correlates loosely with load per server.
+		perServer := rate / float64(current)
+		delay := time.Duration(perServer / 40 * 0.3 * float64(time.Second))
+		current = c.Decide(State{Active: current, Delay: delay, Rate: rate}).Servers
+		history = append(history, current)
+	}
+	min, max := history[0], history[0]
+	for i, n := range history {
+		if n < min {
+			min = n
+		}
+		if n > max {
+			max = n
+		}
+		if i > 0 {
+			step := n - history[i-1]
+			if step > 2 || step < -1 {
+				t.Fatalf("controller thrashing at slot %d: %v", i, history)
+			}
+		}
+	}
+	if max < 7 || min > 5 {
+		t.Fatalf("controller not tracking the curve: min=%d max=%d history=%v", min, max, history)
+	}
+}
+
+// cosApprox maps [0,1) to a cosine-like curve peaking at 0.5.
+func cosApprox(frac float64) float64 {
+	x := frac - 0.5
+	return 1 - 8*x*x // parabola peaking at 1, valley -1 at edges
 }

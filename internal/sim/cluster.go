@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"time"
 
 	"proteus/internal/bloom"
 	"proteus/internal/cache"
 	"proteus/internal/database"
+	"proteus/internal/faultinject"
 	"proteus/internal/wiki"
 )
 
@@ -99,6 +101,64 @@ func (n *cacheNode) powerOff() {
 // snapshotDigest is the transition-start broadcast.
 func (n *cacheNode) snapshotDigest() *bloom.Filter {
 	return n.digest.Snapshot()
+}
+
+// fleet is the simulated servers as the shared Section IV machine
+// (transition.Fleet) sees them; both DES drivers provision through it.
+type fleet struct {
+	nodes []*cacheNode
+	// faults, when set, makes a partitioned server unreachable to the
+	// control plane, as it is on the live plane. The figure runner
+	// leaves it nil: its injector acts per request (runner.fault) and
+	// its control plane sees power state only.
+	faults *faultinject.Injector
+	// noDigest refuses every snapshot (Config.DisableDigest): the flip
+	// happens, every relocation source degrades to the database path.
+	noDigest bool
+}
+
+var errUnreachable = errors.New("sim: server unreachable")
+
+// reachable reports whether an operation against server i would
+// succeed: powered on and not partitioned away.
+func (f *fleet) reachable(i int) bool {
+	return f.nodes[i].state == nodeOn && (f.faults == nil || !f.faults.Partitioned(i))
+}
+
+func (f *fleet) PowerOn(i int) error {
+	f.nodes[i].state = nodeOn
+	return nil
+}
+
+func (f *fleet) PowerOff(i int) { f.nodes[i].powerOff() }
+
+func (f *fleet) Digest(i int) (*bloom.Filter, error) {
+	if f.noDigest || !f.reachable(i) {
+		return nil, errUnreachable
+	}
+	return f.nodes[i].snapshotDigest(), nil
+}
+
+func (f *fleet) Ping(i int) error {
+	if !f.reachable(i) {
+		return errUnreachable
+	}
+	return nil
+}
+
+func (f *fleet) Get(i int, key string) ([]byte, bool, error) {
+	v, ok := f.nodes[i].store.Get(key)
+	return v, ok, nil
+}
+
+func (f *fleet) Set(i int, key string, value []byte) error {
+	f.nodes[i].store.Set(key, value, 0)
+	return nil
+}
+
+func (f *fleet) Delete(i int, key string) error {
+	f.nodes[i].store.Delete(key)
+	return nil
 }
 
 // dbModel is the database tier in virtual time: per-shard bounded

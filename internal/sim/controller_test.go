@@ -4,17 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"proteus/internal/cluster"
+	"proteus/internal/provision"
 )
 
 // Controller mode: the realized plan must track the diurnal curve and
 // stay within bounds, and the run must stay deterministic.
 func TestControllerModeTracksLoad(t *testing.T) {
 	cfg := testConfig(t, ScenarioProteus)
-	ctrl := cluster.NewController(cfg.CacheServers, cfg.PerServerCapacity)
-	ctrl.Bound = 300 * time.Millisecond
-	ctrl.Reference = 200 * time.Millisecond
-	cfg.Controller = ctrl
+	cfg.Policy = legacyControllerForTest(cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,10 +55,7 @@ func TestControllerModeTracksLoad(t *testing.T) {
 func TestControllerModeDeterministic(t *testing.T) {
 	run := func() *Result {
 		cfg := testConfig(t, ScenarioProteus)
-		ctrl := cluster.NewController(cfg.CacheServers, cfg.PerServerCapacity)
-		ctrl.Bound = 300 * time.Millisecond
-		ctrl.Reference = 200 * time.Millisecond
-		cfg.Controller = ctrl
+		cfg.Policy = legacyControllerForTest(cfg)
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -104,10 +98,13 @@ func TestDisableDigest(t *testing.T) {
 	}
 }
 
-// clusterControllerForTest builds the standard test controller.
-func clusterControllerForTest(cfg Config) *cluster.Controller {
-	ctrl := cluster.NewController(cfg.CacheServers, cfg.PerServerCapacity)
-	ctrl.Bound = 300 * time.Millisecond
-	ctrl.Reference = 200 * time.Millisecond
-	return ctrl
+// legacyControllerForTest builds the standard test controller.
+func legacyControllerForTest(cfg Config) provision.Policy {
+	return provision.LegacyController{
+		Reference:         200 * time.Millisecond,
+		Bound:             300 * time.Millisecond,
+		PerServerCapacity: cfg.PerServerCapacity,
+		Min:               1,
+		Max:               cfg.CacheServers,
+	}
 }

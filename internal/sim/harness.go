@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -9,37 +10,35 @@ import (
 	"proteus/internal/core"
 	"proteus/internal/faultinject"
 	"proteus/internal/telemetry"
+	"proteus/internal/transition"
 )
 
 // Harness is the DES execution plane of the conformance checker
 // (internal/check): the same substrate the figure-replay runner uses —
 // Engine virtual clock, cache.Cache stores with counting-filter
-// digests, core.Placement routing, Section IV transitions — but driven
-// one operation at a time by an external schedule instead of a closed
-// workload loop. Every method is synchronous in virtual time and the
-// whole state is a pure function of the operation sequence, so the
+// digests, the shared Section IV machine (internal/transition) — but
+// driven one operation at a time by an external schedule instead of a
+// closed workload loop. Every method is synchronous in virtual time and
+// the whole state is a pure function of the operation sequence, so the
 // explorer can interleave client ops, transitions, faults, and clock
 // skips arbitrarily and replay them byte-for-byte.
 //
-// The harness mirrors the live plane's semantics operation for
-// operation: Get is Algorithm 2 exactly as webtier.Frontend.fetch runs
-// it (try the new owner, consult the old owner's digest during a
-// transition, fall back to the backing store and write through), and
-// SetActive is cluster.Coordinator.SetActive (finalize a pending
-// window, power on growth, snapshot reachable relocation sources,
-// flip, arm the TTL deadline). Lockstep conformance between the two
-// planes depends on this mirroring.
+// Transitions and the hot set run the code the live coordinator runs.
+// What is the harness's own is the request path: Get is Algorithm 2 as
+// webtier.Frontend.fetch runs it (try the new owners, consult the old
+// owner's digest during a transition, fall back to the backing store
+// and write through), over in-memory stores instead of sockets.
 type Harness struct {
-	cfg        HarnessConfig
-	eng        *Engine
-	replicated *core.Replicated
-	hotRings   int
-	nodes      []*cacheNode
-	events     *telemetry.EventLog
+	cfg   HarnessConfig
+	eng   *Engine
+	m     *transition.Machine
+	fleet *fleet
 
-	active int
-	trans  *transition
-	hot    map[string]struct{}
+	// The machine's TTL timer: armed through after, fired by
+	// AdvanceClock — expiry happens when the schedule advances the
+	// clock, never behind the explorer's back.
+	deadline time.Duration
+	expire   func()
 }
 
 // HarnessConfig configures a Harness. Servers, InitialActive, TTL, and
@@ -76,52 +75,27 @@ type HarnessConfig struct {
 	UnsafeEarlyPowerOff bool
 	// HotReplicas enables hot-key replication: keys promoted via
 	// Promote resolve at this replica depth over seeded rings sharing
-	// the primary placement, mirroring cluster.Config.HotReplicas
-	// (0 or 1 disables).
+	// the primary placement (0 or 1 disables).
 	HotReplicas int
 	// UnsafeSkipFanout is a conformance-test hook: Set writes the
 	// primary owner only, leaving a hot key's replicas holding stale
 	// copies — the write-fan-out bug the replica invariant forbids.
 	// Production configurations never set it.
 	UnsafeSkipFanout bool
-	// Backend selects the placement geometry (empty = Algorithm 1),
-	// mirroring cluster.Config.Backend so both planes route identically
-	// under every backend.
+	// Backend selects the placement geometry (empty = Algorithm 1); the
+	// live plane must be built with the same kind.
 	Backend core.BackendKind
 }
 
 // NewHarness builds a harness with the initial prefix powered on.
 func NewHarness(cfg HarnessConfig) (*Harness, error) {
-	if cfg.Servers < 1 {
-		return nil, fmt.Errorf("sim: harness needs at least 1 server, got %d", cfg.Servers)
-	}
-	if cfg.InitialActive < 1 || cfg.InitialActive > cfg.Servers {
-		return nil, fmt.Errorf("sim: harness InitialActive %d out of range 1..%d", cfg.InitialActive, cfg.Servers)
-	}
-	if cfg.TTL <= 0 {
-		return nil, fmt.Errorf("sim: harness TTL must be positive")
-	}
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("sim: harness DB resolver required")
 	}
-	hotRings := cfg.HotReplicas
-	if hotRings < 1 {
-		hotRings = 1
-	}
-	// Ring 0 of a Replicated is the unseeded primary placement, so with
-	// HotReplicas disabled this routes exactly like the bare backend.
-	replicated, err := core.NewReplicatedBackend(cfg.Backend, cfg.Servers, hotRings)
-	if err != nil {
-		return nil, err
-	}
 	h := &Harness{
-		cfg:        cfg,
-		eng:        NewEngine(),
-		replicated: replicated,
-		hotRings:   hotRings,
-		events:     cfg.Events,
-		active:     cfg.InitialActive,
-		hot:        make(map[string]struct{}),
+		cfg:   cfg,
+		eng:   NewEngine(),
+		fleet: &fleet{faults: cfg.Faults},
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		// Unlimited capacity and no per-item TTL: conformance runs
@@ -131,80 +105,78 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.nodes = append(h.nodes, node)
+		h.fleet.nodes = append(h.fleet.nodes, node)
 	}
-	for i := 0; i < cfg.InitialActive; i++ {
-		h.nodes[i].state = nodeOn
-		h.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
+	m, err := transition.New(transition.Config{
+		Fleet:         h.fleet,
+		Nodes:         cfg.Servers,
+		InitialActive: cfg.InitialActive,
+		TTL:           cfg.TTL,
+		HotReplicas:   cfg.HotReplicas,
+		Backend:       cfg.Backend,
+		After:         h.after,
+		Faults:        cfg.Faults,
+		Events:        cfg.Events,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: harness: %w", err)
 	}
+	h.m = m
 	return h, nil
+}
+
+func (h *Harness) after(d time.Duration, fn func()) func() {
+	h.deadline, h.expire = h.eng.Now()+d, fn
+	return func() { h.expire = nil }
 }
 
 // Now returns the harness's virtual time.
 func (h *Harness) Now() time.Duration { return h.eng.Now() }
 
 // Active returns the current active-prefix size.
-func (h *Harness) Active() int { return h.active }
+func (h *Harness) Active() int { return h.m.Epoch().Active }
 
 // Servers returns the provisioning-order length.
-func (h *Harness) Servers() int { return len(h.nodes) }
+func (h *Harness) Servers() int { return len(h.fleet.nodes) }
 
 // NodeOn reports whether server i is powered.
-func (h *Harness) NodeOn(i int) bool { return h.nodes[i].state == nodeOn }
+func (h *Harness) NodeOn(i int) bool { return h.fleet.nodes[i].state == nodeOn }
 
-// InTransition reports whether a smooth-transition window is open, and
-// its deadline.
-func (h *Harness) InTransition() (open bool, deadline time.Duration) {
-	if h.trans == nil {
-		return false, 0
-	}
-	return true, h.trans.deadline
-}
-
-// Draining reports that an open transition window is a scale-down: the
-// dying servers are still serving hot data for on-demand migration, so
-// issuing another scale-down now would cut that short. Provisioning
-// policies consult this to gate actuation (provision.State.Draining).
-func (h *Harness) Draining() bool {
-	return h.trans != nil && h.trans.toN < h.trans.fromN
-}
+// InTransition reports whether a smooth-transition window is open.
+func (h *Harness) InTransition() bool { return h.m.Epoch().Open() }
 
 // ResidentKeys returns server i's cached keys, sorted.
 func (h *Harness) ResidentKeys(i int) []string {
-	keys := h.nodes[i].store.Keys()
+	keys := h.fleet.nodes[i].store.Keys()
 	sort.Strings(keys)
 	return keys
 }
 
 // DigestContains probes server i's live counting filter.
 func (h *Harness) DigestContains(i int, key string) bool {
-	return h.nodes[i].digest.Contains(key)
+	return h.fleet.nodes[i].digest.Contains(key)
 }
 
-// reachable reports whether an operation against server i would
-// succeed: powered on and not partitioned away.
-func (h *Harness) reachable(i int) bool {
-	if h.nodes[i].state != nodeOn {
-		return false
-	}
-	if h.cfg.Faults != nil && h.cfg.Faults.Partitioned(i) {
-		return false
-	}
-	return true
+// NodeValue reads server i's stored value for key directly (probe
+// support; no routing, no migration).
+func (h *Harness) NodeValue(i int, key string) ([]byte, bool) {
+	return h.fleet.nodes[i].store.Get(key)
 }
 
-// Get runs Algorithm 2 for one key, mirroring webtier.Frontend.fetch
-// in three phases: probe the key's distinct current owners (primary
-// first — the live tier orders by load, but the replica invariant
-// makes the answer order-independent); during a transition consult
-// each ring's old-owner digest and migrate on demand; otherwise fall
-// back to the backing store and write through to every owner. ok is
-// false only when the backing store does not know the key.
+// Get runs Algorithm 2 for one key under one routing epoch, as
+// webtier.Frontend.fetch does, in three phases: probe the key's
+// distinct current owners (primary first — the live tier orders by
+// load, but the replica invariant makes the answer order-independent);
+// during a transition consult each ring's old-owner digest and migrate
+// on demand; otherwise fall back to the backing store and write through
+// to every owner. ok is false only when the backing store does not know
+// the key.
 func (h *Harness) Get(key string) (value []byte, src RequestSource, ok bool) {
-	owners := h.owners(key)
-	for _, o := range owners {
-		if h.reachable(o) {
-			if v, hit := h.nodes[o].store.Get(key); hit {
+	ep := h.m.Epoch()
+	nodes := h.fleet.nodes
+	for _, o := range ep.Owners(key) {
+		if h.fleet.reachable(o) {
+			if v, hit := nodes[o].store.Get(key); hit {
 				return v, SourceHit, true
 			}
 		}
@@ -213,34 +185,27 @@ func (h *Harness) Get(key string) (value []byte, src RequestSource, ok bool) {
 	// snapshot digests are immutable; a consult against an unreachable
 	// old owner degrades to the database, exactly like the live tier's
 	// error path.
-	if tr := h.trans; tr != nil {
-		consulted := make([]int, 0, 4)
-		rings := h.ringsFor(key)
-		for ring := 0; ring < rings; ring++ {
-			owner := h.replicated.OwnerOnRing(key, ring, h.active)
-			old := h.replicated.OwnerOnRing(key, ring, tr.fromN)
-			if old == owner || tr.digests[old] == nil || !tr.digests[old].Contains(key) {
-				continue
-			}
-			if containsNode(consulted, old) {
-				continue
-			}
-			consulted = append(consulted, old)
-			if !h.reachable(old) {
-				continue
-			}
-			if v, hit := h.nodes[old].store.Get(key); hit {
-				h.events.Record(telemetry.Event{Kind: telemetry.EventMigrationHit, Node: old})
-				// Amortized migration: install on the ring's new owner so
-				// the next request hits there. An unreachable new owner
-				// leaves the key un-migrated, never wrong.
-				if h.reachable(owner) {
-					h.nodes[owner].store.Set(key, v, 0)
-				}
-				return v, SourceMigrated, true
-			}
-			h.events.Record(telemetry.Event{Kind: telemetry.EventMigrationMiss, Node: old})
+	consulted := make([]int, 0, 4)
+	for ring, rings := 0, ep.RingsFor(key); ring < rings; ring++ {
+		owner, old, tryOld := ep.Route(key, ring)
+		if !tryOld || slices.Contains(consulted, old) {
+			continue
 		}
+		consulted = append(consulted, old)
+		if !h.fleet.reachable(old) {
+			continue
+		}
+		if v, hit := nodes[old].store.Get(key); hit {
+			h.cfg.Events.Record(telemetry.Event{Kind: telemetry.EventMigrationHit, Node: old})
+			// Amortized migration: install on the ring's new owner so
+			// the next request hits there. An unreachable new owner
+			// leaves the key un-migrated, never wrong.
+			if h.fleet.reachable(owner) {
+				nodes[owner].store.Set(key, v, 0)
+			}
+			return v, SourceMigrated, true
+		}
+		h.cfg.Events.Record(telemetry.Event{Kind: telemetry.EventMigrationMiss, Node: old})
 	}
 	data, found := h.cfg.DB(key)
 	if !found {
@@ -250,144 +215,70 @@ func (h *Harness) Get(key string) (value []byte, src RequestSource, ok bool) {
 	return data, SourceDB, true
 }
 
-// Set installs a new value write-through, mirroring webtier.Update
-// (whole objects): every distinct owner gets the value; an unreachable
-// owner stays cold, not wrong — but a hot key that missed a copy is
-// demoted, because the replica left behind may hold the previous
-// value. The backing store is the caller's (the oracle updates its
-// versioned map before calling). With the UnsafeSkipFanout hook the
-// write lands on the primary only — the fan-out bug the write-fanout
-// probe exists to catch.
+// Set installs a new value write-through, as webtier.Update does for
+// whole objects: every distinct owner gets the value; an unreachable
+// owner stays cold, not wrong. The backing store is the caller's (the
+// oracle updates its versioned map before calling). With the
+// UnsafeSkipFanout hook the write lands on the primary only — the
+// fan-out bug the write-fanout probe exists to catch.
 func (h *Harness) Set(key string, value []byte) {
 	if h.cfg.UnsafeSkipFanout {
-		owner := h.replicated.OwnerOnRing(key, 0, h.active)
-		if h.reachable(owner) {
-			h.nodes[owner].store.Set(key, value, 0)
+		if owner := h.m.Epoch().Owner(key, 0); h.fleet.reachable(owner) {
+			h.fleet.nodes[owner].store.Set(key, value, 0)
 		}
 		return
 	}
 	h.fanoutWrite(key, value)
 }
 
-// fanoutWrite stores one key on every distinct owner, mirroring
-// webtier storeAll including its auto-demote rule: any failed copy of
-// a multi-owner write demotes the key (the stale replica must not keep
-// serving as a hot peer).
+// fanoutWrite stores one key on every reachable distinct owner; the
+// machine demotes a hot key that missed a copy.
 func (h *Harness) fanoutWrite(key string, value []byte) {
-	owners := h.owners(key)
-	failed := false
-	for _, o := range owners {
-		if h.reachable(o) {
-			h.nodes[o].store.Set(key, value, 0)
-		} else {
-			failed = true
+	h.m.Fanout(h.m.Epoch(), key, func(o int) bool {
+		if !h.fleet.reachable(o) {
+			return false
 		}
-	}
-	if failed && len(owners) > 1 {
-		h.Demote(key)
-	}
+		h.fleet.nodes[o].store.Set(key, value, 0)
+		return true
+	})
 }
 
-func containsNode(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
+// Promote moves a key into the hot set; see transition.Machine.Promote.
+func (h *Harness) Promote(key string) bool { return h.m.Promote(key) }
+
+// Demote removes a key from the hot set, reporting whether it was hot.
+func (h *Harness) Demote(key string) bool { return h.m.Demote(key) }
 
 // Crash powers a server off outside any provisioning decision, losing
-// its in-memory data — the DES mirror of killing a LocalNode.
+// its in-memory data — the DES counterpart of killing a LocalNode.
 func (h *Harness) Crash(server int) {
-	if server < 0 || server >= len(h.nodes) {
-		return
-	}
-	if h.nodes[server].state == nodeOn {
-		h.nodes[server].powerOff()
+	if server >= 0 && server < len(h.fleet.nodes) {
+		h.fleet.PowerOff(server)
 	}
 }
 
-// SetActive executes one provisioning decision, mirroring
-// cluster.Coordinator.SetActive: finalize any pending window first,
-// power on growth, snapshot every reachable relocation source's digest,
-// flip routing, and arm the TTL deadline (fired by AdvanceClock).
+// SetActive executes one provisioning decision through the shared
+// machine; the TTL deadline it arms is fired by AdvanceClock. A
+// *transition.DegradedDigestError reports a flip that happened with an
+// unreachable relocation source.
 func (h *Harness) SetActive(n int) error {
-	if n < 1 || n > len(h.nodes) {
-		return fmt.Errorf("sim: harness target %d out of range 1..%d", n, len(h.nodes))
-	}
-	if n == h.active && h.trans == nil {
-		return nil
-	}
-	h.finalizeTransition()
-	from := h.active
-	if n == from {
-		return nil
-	}
-	if n > from {
-		for i := from; i < n; i++ {
-			h.nodes[i].state = nodeOn
-			h.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
-		}
-	}
-	digests := make([]*bloom.Filter, len(h.nodes))
-	lo, hi := n, from // shrink: the dying nodes [n, from) hold the re-mapped keys
-	if n > from {
-		lo, hi = 0, from // growth: every old-prefix node may hold re-mapped keys
-	}
-	for i := lo; i < hi; i++ {
-		if !h.reachable(i) {
-			// The live coordinator's FetchDigest fails here and the
-			// node's keys degrade to the database path; mirror that.
-			continue
-		}
-		digests[i] = h.nodes[i].snapshotDigest()
-		h.events.Record(telemetry.Event{Kind: telemetry.EventDigestBuild, Node: i})
-	}
-	h.events.Record(telemetry.Event{Kind: telemetry.EventDigestBroadcast, Node: -1})
-	h.trans = &transition{fromN: from, toN: n, digests: digests, deadline: h.eng.Now() + h.cfg.TTL}
-	h.active = n
-	h.events.Record(telemetry.Event{Kind: telemetry.EventOwnershipFlip, Node: -1, From: from, To: n})
-	if h.cfg.Faults != nil {
-		h.cfg.Faults.TransitionStarted()
-	}
-	h.hotSyncAfterFlip()
-	if h.cfg.UnsafeEarlyPowerOff && n < from {
+	flipped, err := h.m.SetActive(n)
+	if flipped && h.cfg.UnsafeEarlyPowerOff && h.m.Epoch().Draining() {
 		// Conformance-test hook: the premature power-off bug.
-		h.finalizeTransition()
+		h.m.FinalizeNow()
 	}
-	return nil
+	return err
 }
 
 // AdvanceClock moves virtual time forward, firing the transition
-// deadline if the skip crosses it. This is the DES mirror of the live
-// plane's virtual timer: expiry happens when the schedule advances the
-// clock, never behind the explorer's back.
+// deadline if the skip crosses it.
 func (h *Harness) AdvanceClock(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	h.eng.Run(h.eng.Now() + d)
-	if h.trans != nil && h.eng.Now() >= h.trans.deadline {
-		h.finalizeTransition()
+	if expire := h.expire; expire != nil && h.eng.Now() >= h.deadline {
+		h.expire = nil
+		expire()
 	}
-}
-
-// finalizeTransition closes the window: dying servers power off (the
-// Section IV safety point) and the broadcast digests are discarded.
-func (h *Harness) finalizeTransition() {
-	if h.trans == nil {
-		return
-	}
-	tr := h.trans
-	h.trans = nil
-	if tr.toN < tr.fromN {
-		for i := tr.toN; i < tr.fromN; i++ {
-			if h.nodes[i].state == nodeOn {
-				h.nodes[i].powerOff()
-			}
-			h.events.Record(telemetry.Event{Kind: telemetry.EventPowerOff, Node: i})
-		}
-	}
-	h.events.Record(telemetry.Event{Kind: telemetry.EventTTLExpiry, Node: -1, From: tr.fromN, To: tr.toN})
 }

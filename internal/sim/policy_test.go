@@ -100,17 +100,3 @@ func TestPolicyModeDelayFeedback(t *testing.T) {
 		}
 	}
 }
-
-// The deprecated Controller knob still works through the adapter.
-func TestDeprecatedControllerStillDrives(t *testing.T) {
-	cfg := testConfig(t, ScenarioProteus)
-	cfg.Controller = clusterControllerForTest(cfg)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slots := int((cfg.Duration + cfg.SlotWidth - 1) / cfg.SlotWidth)
-	if len(res.Plan) != slots {
-		t.Fatalf("realized plan has %d slots, want %d", len(res.Plan), slots)
-	}
-}

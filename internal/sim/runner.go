@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"time"
 
-	"proteus/internal/bloom"
 	"proteus/internal/core"
 	"proteus/internal/faultinject"
 	"proteus/internal/hashring"
@@ -12,6 +11,7 @@ import (
 	"proteus/internal/power"
 	"proteus/internal/provision"
 	"proteus/internal/telemetry"
+	"proteus/internal/transition"
 	"proteus/internal/workload"
 )
 
@@ -27,14 +27,6 @@ func Run(cfg Config) (*Result, error) {
 	return r.run()
 }
 
-// transition is the Proteus smooth-transition window (Section IV).
-type transition struct {
-	fromN    int
-	toN      int
-	digests  []*bloom.Filter // indexed by server id; nil where not snapshotted
-	deadline time.Duration
-}
-
 type runner struct {
 	cfg Config
 	eng *Engine
@@ -43,13 +35,15 @@ type runner struct {
 	nodes []*cacheNode
 	db    *dbModel
 
-	replicated *core.Replicated     // Proteus routing (any backend, Section III-E depth >= 1)
+	// machine runs the Proteus scenario's transitions (Section IV); the
+	// other scenarios remap brutally and have none.
+	machine    *transition.Machine
+	replicated *core.Replicated     // Proteus routing (the machine's geometry)
 	consistent *hashring.Consistent // Consistent routing
 
-	provisionedN int // plan level currently being executed
-	routingN     int // active-prefix size used for routing
-	trans        *transition
-	provGen      int              // invalidates superseded boot/deadline callbacks
+	provisionedN int              // plan level currently being executed
+	routingN     int              // routing prefix of the machine-less scenarios
+	provGen      int              // invalidates superseded boot callbacks
 	policy       provision.Policy // closed-loop decisions; nil in plan mode
 
 	users      []*simUser
@@ -97,9 +91,6 @@ func newRunner(cfg Config) (*runner, error) {
 		horizon:    cfg.Warmup + cfg.Duration,
 	}
 	r.policy = cfg.Policy
-	if r.policy == nil && cfg.Controller != nil {
-		r.policy = cfg.Controller.Policy()
-	}
 	for i := range r.bySource {
 		r.bySource[i] = &metrics.Histogram{}
 	}
@@ -118,7 +109,7 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	if cfg.Faults != nil {
 		// Crash hooks run synchronously inside the engine event that
-		// fired them (TransitionStarted from beginTransition), so the
+		// fired them (TransitionStarted at the ownership flip), so the
 		// power-off lands at a deterministic virtual time.
 		cfg.Faults.OnCrash(func(server int) {
 			if server >= 0 && server < len(r.nodes) && r.nodes[server].state == nodeOn {
@@ -141,17 +132,27 @@ func newRunner(cfg Config) (*runner, error) {
 
 	switch cfg.Scenario {
 	case ScenarioProteus:
-		reps := cfg.Replicas
-		if reps < 1 {
-			reps = 1
-		}
-		// Ring 0 is the unseeded primary, so with replication disabled
-		// this routes exactly like the bare backend.
-		rep, err := core.NewReplicatedBackend(cfg.Backend, cfg.CacheServers, reps)
+		m, err := transition.New(transition.Config{
+			Fleet:         &fleet{nodes: r.nodes, noDigest: cfg.DisableDigest},
+			Nodes:         cfg.CacheServers,
+			InitialActive: cfg.Plan[0],
+			TTL:           cfg.TTL,
+			Replicas:      cfg.Replicas,
+			Backend:       cfg.Backend,
+			// Engine events cannot be cancelled; the machine recognises
+			// a superseded expiry by its generation.
+			After: func(d time.Duration, fn func()) func() {
+				eng.After(d, fn)
+				return func() {}
+			},
+			Faults: cfg.Faults,
+			Events: r.events,
+		})
 		if err != nil {
 			return nil, err
 		}
-		r.replicated = rep
+		r.machine = m
+		r.replicated = m.Geometry()
 	case ScenarioConsistent:
 		c, err := hashring.NewConsistentHalfSquare(cfg.CacheServers)
 		if err != nil {
@@ -192,18 +193,28 @@ func (r *runner) rings() int {
 	return 1
 }
 
+// prefix returns the active-prefix size requests route with.
+func (r *runner) prefix() int {
+	if r.machine != nil {
+		return r.machine.Epoch().Active
+	}
+	return r.routingN
+}
+
 func (r *runner) run() (*Result, error) {
-	// Bring up the initial fleet.
+	// Bring up the initial fleet (the machine already did for Proteus).
 	initial := r.cfg.Plan[0]
 	if r.policy != nil {
 		r.realisedPlan = append(r.realisedPlan, initial)
 	}
-	for i := 0; i < initial; i++ {
-		r.nodes[i].state = nodeOn
-		r.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
+	if r.machine == nil {
+		for i := 0; i < initial; i++ {
+			r.nodes[i].state = nodeOn
+			r.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
+		}
+		r.routingN = initial
 	}
 	r.provisionedN = initial
-	r.routingN = initial
 
 	// Slot boundaries (plan applies from Warmup onward; the warmup
 	// period runs at Plan[0]).
@@ -248,7 +259,7 @@ func (r *runner) run() (*Result, error) {
 
 	r.eng.Run(r.horizon)
 
-	r.activeLog = append(r.activeLog, r.routingN)
+	r.activeLog = append(r.activeLog, r.prefix())
 	plan := r.cfg.Plan
 	if r.policy != nil {
 		plan = r.realisedPlan
@@ -269,15 +280,17 @@ func (r *runner) run() (*Result, error) {
 	}, nil
 }
 
-// draining reports that a scale-down's TTL window is still open: dying
-// servers are serving hot data for on-demand migration.
-func (r *runner) draining() bool {
-	return r.trans != nil && r.trans.toN < r.trans.fromN
-}
-
 // applyPlan executes the provisioning decision for a slot boundary.
 func (r *runner) applyPlan(slot int) {
-	r.activeLog = append(r.activeLog, r.routingN)
+	r.activeLog = append(r.activeLog, r.prefix())
+	// One epoch per decision: whether a window is open, and whether it
+	// is a scale-down still draining (dying servers serving hot data for
+	// on-demand migration).
+	var open, draining bool
+	if r.machine != nil {
+		ep := r.machine.Epoch()
+		open, draining = ep.Open(), ep.Draining()
+	}
 	var target int
 	if r.policy != nil {
 		// Closed loop: decide from the ending slot's measurements, as
@@ -286,7 +299,6 @@ func (r *runner) applyPlan(slot int) {
 		rate := float64(r.slotRequests) / r.cfg.SlotWidth.Seconds()
 		r.slotHist.Reset()
 		r.slotRequests = 0
-		draining := r.draining()
 		decision := r.policy.Decide(provision.State{
 			Slot:         slot,
 			Now:          r.eng.Now() - r.cfg.Warmup,
@@ -294,7 +306,7 @@ func (r *runner) applyPlan(slot int) {
 			Delay:        delay,
 			Rate:         rate,
 			Active:       r.provisionedN,
-			InTransition: r.trans != nil,
+			InTransition: open,
 			Draining:     draining,
 		})
 		target = decision.Servers
@@ -321,14 +333,16 @@ func (r *runner) applyPlan(slot int) {
 	if target == r.provisionedN {
 		return
 	}
-	if target < r.provisionedN && r.draining() {
+	if target < r.provisionedN && draining {
 		// Unreachable for policy runs (the gate above defers); counted
 		// so the harness can assert the invariant held across a sweep.
 		r.stats.MidDrainScaleDowns++
 	}
 	// A new decision supersedes any in-flight transition: finalize it
-	// first so state is consistent.
-	r.finalizeTransition()
+	// now — a scale-up's own flip waits for the boot delay.
+	if r.machine != nil {
+		r.machine.FinalizeNow()
+	}
 	r.provGen++
 	gen := r.provGen
 
@@ -341,7 +355,7 @@ func (r *runner) applyPlan(slot int) {
 }
 
 func (r *runner) scaleUp(target, gen int) {
-	fromN := r.routingN
+	fromN := r.prefix()
 	for i := fromN; i < target; i++ {
 		r.nodes[i].state = nodeBooting
 	}
@@ -349,80 +363,41 @@ func (r *runner) scaleUp(target, gen int) {
 		if r.provGen != gen {
 			return // superseded
 		}
+		if r.machine != nil {
+			r.transitionTo(target)
+			return
+		}
 		for i := fromN; i < target; i++ {
 			r.nodes[i].state = nodeOn
 			r.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
 		}
-		switch r.cfg.Scenario {
-		case ScenarioProteus:
-			r.beginTransition(fromN, target, gen)
-		default:
-			r.routingN = target // brutal remap
-		}
+		r.routingN = target // brutal remap
 	})
 }
 
 func (r *runner) scaleDown(target int) {
-	fromN := r.routingN
-	switch r.cfg.Scenario {
-	case ScenarioProteus:
+	if r.machine != nil {
 		// Dying servers keep serving hot data for TTL while requests
 		// migrate it on demand (Section IV).
-		r.beginTransition(fromN, target, r.provGen)
-	default:
-		for i := target; i < fromN; i++ {
-			r.nodes[i].powerOff()
-		}
-		r.routingN = target
-	}
-}
-
-// beginTransition broadcasts digests and switches routing to the new
-// prefix; Algorithm 2 covers the window until the deadline.
-func (r *runner) beginTransition(fromN, toN, gen int) {
-	digests := make([]*bloom.Filter, r.cfg.CacheServers)
-	if !r.cfg.DisableDigest {
-		for i := 0; i < fromN; i++ {
-			if r.nodes[i].state == nodeOn {
-				digests[i] = r.nodes[i].snapshotDigest()
-				r.events.Record(telemetry.Event{Kind: telemetry.EventDigestBuild, Node: i})
-			}
-		}
-		r.events.Record(telemetry.Event{Kind: telemetry.EventDigestBroadcast, Node: -1})
-	}
-	r.trans = &transition{fromN: fromN, toN: toN, digests: digests, deadline: r.eng.Now() + r.cfg.TTL}
-	r.routingN = toN
-	r.stats.Transitions++
-	r.events.Record(telemetry.Event{Kind: telemetry.EventOwnershipFlip, Node: -1, From: fromN, To: toN})
-	if r.cfg.Faults != nil {
-		// Same ordinal as cluster.Coordinator.SetActive: fire after the
-		// new routing table is installed, so OpTransition crash and
-		// partition rules land mid-transition in both planes.
-		r.cfg.Faults.TransitionStarted()
-	}
-	r.eng.After(r.cfg.TTL, func() {
-		if r.provGen != gen || r.trans == nil || r.trans.toN != toN {
-			return // superseded
-		}
-		r.finalizeTransition()
-	})
-}
-
-// finalizeTransition ends the smooth-transition window: after TTL every
-// still-hot item has been migrated on demand, so dying servers are
-// safe to power off (Section IV's safety argument).
-func (r *runner) finalizeTransition() {
-	if r.trans == nil {
+		r.transitionTo(target)
 		return
 	}
-	if r.trans.toN < r.trans.fromN {
-		for i := r.trans.toN; i < r.trans.fromN; i++ {
-			r.nodes[i].powerOff()
-			r.events.Record(telemetry.Event{Kind: telemetry.EventPowerOff, Node: i})
-		}
+	for i := target; i < r.routingN; i++ {
+		r.nodes[i].powerOff()
 	}
-	r.events.Record(telemetry.Event{Kind: telemetry.EventTTLExpiry, Node: -1, From: r.trans.fromN, To: r.trans.toN})
-	r.trans = nil
+	r.routingN = target
+}
+
+// transitionTo runs one smooth transition through the shared machine:
+// digests broadcast, routing switched to the new prefix, Algorithm 2
+// covering the window until the TTL deadline.
+func (r *runner) transitionTo(n int) {
+	// The only error a simulated fleet can produce is a degraded
+	// digest (a crashed source, or DisableDigest), which the request
+	// path absorbs.
+	if flipped, _ := r.machine.SetActive(n); flipped {
+		r.stats.Transitions++
+	}
 }
 
 // traceBatchSize bounds how many trace arrivals sit in the event heap
@@ -533,7 +508,14 @@ func (r *runner) startRequest(key string, done func(finish time.Duration)) {
 
 	t := now + r.cfg.WebOverhead
 
-	primary := r.routeRing(key, 0, r.routingN)
+	// One routing epoch per request.
+	var ep *transition.Epoch
+	routingN := r.routingN
+	if r.machine != nil {
+		ep = r.machine.Epoch()
+		routingN = ep.Active
+	}
+	primary := r.routeRing(key, 0, routingN)
 	if measured {
 		r.load.Observe(rel, primary)
 	}
@@ -542,7 +524,7 @@ func (r *runner) startRequest(key string, done func(finish time.Duration)) {
 	nTried := 0
 	missCounted := false
 	for ring := 0; ring < r.rings(); ring++ {
-		owner := r.routeRing(key, ring, r.routingN)
+		owner := r.routeRing(key, ring, routingN)
 		dup := false
 		for i := 0; i < nTried; i++ {
 			if tried[i] == owner {
@@ -588,9 +570,8 @@ func (r *runner) startRequest(key string, done func(finish time.Duration)) {
 
 		// Lines 6-8: during a Proteus transition, consult the ring's
 		// old owner's digest before paying the database price.
-		if tr := r.trans; tr != nil && r.cfg.Scenario == ScenarioProteus && !r.cfg.DisableDigest {
-			oldOwner := r.routeRing(key, ring, tr.fromN)
-			if oldOwner != owner && tr.digests[oldOwner] != nil && tr.digests[oldOwner].Contains(key) {
+		if ep != nil && ep.Open() && !r.cfg.DisableDigest {
+			if _, oldOwner, tryOld := ep.Route(key, ring); tryOld {
 				oldNode := r.nodes[oldOwner]
 				oldOK := oldNode.state == nodeOn
 				if oldOK {
@@ -697,9 +678,9 @@ func (r *runner) fault(server int, op faultinject.Op) faultinject.Decision {
 // the current routing prefix (one per ring).
 func (r *runner) writeOwners(key string) []int {
 	if r.replicated == nil {
-		return []int{r.routeRing(key, 0, r.routingN)}
+		return []int{r.route(key, r.routingN)}
 	}
-	return r.replicated.DistinctOwners(key, r.routingN)
+	return r.replicated.DistinctOwners(key, r.prefix())
 }
 
 // samplePower records one PDU sample across the four tiers.

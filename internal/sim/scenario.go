@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"proteus/internal/bloom"
-	"proteus/internal/cluster"
 	"proteus/internal/core"
 	"proteus/internal/database"
 	"proteus/internal/faultinject"
@@ -112,13 +111,8 @@ type Config struct {
 	// decided while a previous window is still draining are deferred to
 	// the next slot (Stats.ScaleDownsDeferred counts them).
 	Policy provision.Policy
-	// Controller is the legacy closed-loop knob, adapted onto Policy
-	// when Policy is nil.
-	//
-	// Deprecated: set Policy.
-	Controller *cluster.Controller
-	// ControllerQuantile is the delay percentile fed to the
-	// controller (default 0.999).
+	// ControllerQuantile is the delay percentile fed to the policy
+	// (default 0.999).
 	ControllerQuantile float64
 	// DisableDigest ablates Section IV: transitions still re-route
 	// with the Proteus placement, but the web tier has no digests, so
@@ -141,8 +135,8 @@ type Config struct {
 	// Faults, when non-nil, applies the same rule-based fault schedule
 	// the live TCP plane uses: per-operation OpGet/OpSet decisions are
 	// consulted in virtual time (errors degrade like a crashed node,
-	// delays stretch service time), and OpTransition rules fire from
-	// beginTransition so crash/partition ordinals line up across both
+	// delays stretch service time), and OpTransition rules fire at the
+	// ownership flip so crash/partition ordinals line up across both
 	// execution planes.
 	Faults *faultinject.Injector
 

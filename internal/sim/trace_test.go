@@ -106,8 +106,7 @@ func TestOpenLoopSpikesHarder(t *testing.T) {
 func TestOpenLoopWithController(t *testing.T) {
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.Trace = buildTrace(t, cfg)
-	ctrl := clusterControllerForTest(cfg)
-	cfg.Controller = ctrl
+	cfg.Policy = legacyControllerForTest(cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

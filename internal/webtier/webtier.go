@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"proteus/internal/chunk"
 	"proteus/internal/cluster"
 	"proteus/internal/telemetry"
+	"proteus/internal/transition"
 )
 
 // Backing is the database tier interface (satisfied by *database.DB).
@@ -180,9 +182,13 @@ func (f *Frontend) Fetch(key string) ([]byte, Source, error) {
 
 func (f *Frontend) fetch(key string) ([]byte, Source, error) {
 	f.coord.ObserveGet(key)
-	if raw, src, ok := f.cacheFetch(key); ok {
+	// One routing epoch per request: every decision below — owners, hot
+	// status, the open window and its digests — is read from the same
+	// instant.
+	ep := f.coord.Epoch()
+	if raw, src, ok := f.cacheFetch(ep, key); ok {
 		if f.pieceSize > 0 && chunk.IsManifest(raw) {
-			if data, ok := f.gatherPieces(key, raw); ok {
+			if data, ok := f.gatherPieces(ep, key, raw); ok {
 				return data, src, nil
 			}
 			// A piece went missing (evicted or lost to a crash):
@@ -203,12 +209,11 @@ func (f *Frontend) fetch(key string) ([]byte, Source, error) {
 		// here only after that flight completed — and its write-through
 		// with it — so one probe of the primary keeps the whole
 		// stampede at a single database query.
-		owner := f.coord.WriteOwners(key)[0]
-		if raw, ok, err := f.coord.Client(owner).Get(key); err == nil && ok {
+		if raw, ok, err := f.coord.Client(ep.Owner(key, 0)).Get(key); err == nil && ok {
 			if f.pieceSize == 0 || !chunk.IsManifest(raw) {
 				return raw, nil
 			}
-			if full, ok := f.gatherPieces(key, raw); ok {
+			if full, ok := f.gatherPieces(ep, key, raw); ok {
 				return full, nil
 			}
 		}
@@ -217,7 +222,7 @@ func (f *Frontend) fetch(key string) ([]byte, Source, error) {
 			return nil, err
 		}
 		f.dbGets.Inc()
-		f.writeThrough(key, data)
+		f.writeThrough(ep, key, data)
 		return data, nil
 	})
 	if shared {
@@ -240,13 +245,13 @@ func (f *Frontend) fetch(key string) ([]byte, Source, error) {
 // probe order, so load-aware routing moves work, never meaning. Phase
 // 2 consults the old owners' digests ring by ring during a transition
 // and amortized-migrates a hit onto that ring's new owner.
-func (f *Frontend) cacheFetch(key string) ([]byte, Source, bool) {
+func (f *Frontend) cacheFetch(ep *transition.Epoch, key string) ([]byte, Source, bool) {
 	// Phase 1: current owners. A transport error (crashed or
 	// partitioned server, open circuit breaker) degrades to the next
 	// replica and ultimately the database — never to a client error.
-	owners := f.coord.WriteOwners(key)
+	owners := ep.Owners(key)
 	primary := owners[0]
-	if len(owners) > 1 && f.coord.IsHot(key) {
+	if len(owners) > 1 && ep.IsHot(key) {
 		// Load-aware ordering applies to promoted keys only: Section
 		// III-E base replicas keep deterministic ring order (the load
 		// signal is wall-clock and would make replica choice — and the
@@ -267,10 +272,10 @@ func (f *Frontend) cacheFetch(key string) ([]byte, Source, bool) {
 
 	// Phase 2: hot data still on a ring's old owner (lines 6-8).
 	consulted := make([]int, 0, 4)
-	rings := f.coord.RingsFor(key)
+	rings := ep.RingsFor(key)
 	for ring := 0; ring < rings; ring++ {
-		newOwner, oldOwner, tryOld := f.coord.RouteRing(key, ring)
-		if !tryOld || containsInt(consulted, oldOwner) {
+		newOwner, oldOwner, tryOld := ep.Route(key, ring)
+		if !tryOld || slices.Contains(consulted, oldOwner) {
 			continue
 		}
 		consulted = append(consulted, oldOwner)
@@ -332,7 +337,7 @@ func (f *Frontend) orderByLoad(owners []int) []int {
 // a faulted server, or hot data still on an old owner mid-transition —
 // takes the full per-key Algorithm 2 path, so migration and replica
 // semantics are exactly those of the unbatched fetch.
-func (f *Frontend) gatherPieces(key string, rawManifest []byte) ([]byte, bool) {
+func (f *Frontend) gatherPieces(ep *transition.Epoch, key string, rawManifest []byte) ([]byte, bool) {
 	m, err := chunk.DecodeManifest(rawManifest)
 	if err != nil {
 		return nil, false
@@ -343,7 +348,7 @@ func (f *Frontend) gatherPieces(key string, rawManifest []byte) ([]byte, bool) {
 	groups := make(map[int][]int) // ring-0 owner -> piece indices
 	for i := range pieces {
 		pieceKeys[i] = chunk.PieceKey(key, i)
-		owner, _, _ := f.coord.RouteRing(pieceKeys[i], 0)
+		owner := ep.Owner(pieceKeys[i], 0)
 		groups[owner] = append(groups[owner], i)
 	}
 	for owner, idx := range groups {
@@ -368,7 +373,7 @@ func (f *Frontend) gatherPieces(key string, rawManifest []byte) ([]byte, bool) {
 		if found[i] {
 			continue
 		}
-		p, _, ok := f.cacheFetch(pieceKeys[i])
+		p, _, ok := f.cacheFetch(ep, pieceKeys[i])
 		if !ok {
 			return nil, false
 		}
@@ -399,6 +404,7 @@ func (f *Frontend) FetchMany(keys ...string) (map[string][]byte, error) {
 	order := make([]string, 0, len(keys))
 	groups := make(map[int][]string) // chosen owner -> keys
 	seen := make(map[string]bool, len(keys))
+	ep := f.coord.Epoch() // one epoch for the whole batch
 	for _, k := range keys {
 		if seen[k] {
 			continue
@@ -408,9 +414,9 @@ func (f *Frontend) FetchMany(keys ...string) (map[string][]byte, error) {
 		// Cold keys batch on their primary; hot keys batch on whichever
 		// replica owner looks least loaded right now, so one popular
 		// page's assets spread across its replica set.
-		owners := f.coord.WriteOwners(k)
+		owners := ep.Owners(k)
 		owner := owners[0]
-		if len(owners) > 1 && f.coord.IsHot(k) {
+		if len(owners) > 1 && ep.IsHot(k) {
 			owner = f.orderByLoad(owners)[0]
 		}
 		groups[owner] = append(groups[owner], k)
@@ -430,7 +436,7 @@ func (f *Frontend) FetchMany(keys ...string) (map[string][]byte, error) {
 	for _, k := range order {
 		if raw, ok := batched[k]; ok {
 			if f.pieceSize > 0 && chunk.IsManifest(raw) {
-				if data, ok := f.gatherPieces(k, raw); ok {
+				if data, ok := f.gatherPieces(ep, k, raw); ok {
 					f.hits.Inc()
 					out[k] = data
 					continue
@@ -457,46 +463,30 @@ func (f *Frontend) FetchMany(keys ...string) (map[string][]byte, error) {
 
 // writeThrough installs a value on every distinct owner, splitting into
 // pieces when the chunk layer is enabled.
-func (f *Frontend) writeThrough(key string, data []byte) {
+func (f *Frontend) writeThrough(ep *transition.Epoch, key string, data []byte) {
 	if f.pieceSize > 0 && len(data) > f.pieceSize {
 		m, pieces := chunk.Split(data, f.pieceSize)
 		for i, p := range pieces {
-			f.storeAll(chunk.PieceKey(key, i), p)
+			f.storeAll(ep, chunk.PieceKey(key, i), p)
 		}
-		f.storeAll(key, m.Encode())
+		f.storeAll(ep, key, m.Encode())
 		return
 	}
-	f.storeAll(key, data)
+	f.storeAll(ep, key, data)
 }
 
-// storeAll writes one key to every distinct owner across the rings.
-func (f *Frontend) storeAll(key string, data []byte) {
-	owners := f.coord.WriteOwners(key)
-	failed := false
-	for _, owner := range owners {
-		// A failed write-through leaves the owner cold, not wrong: the
-		// next read misses there and repopulates from the DB.
+// storeAll writes one key to every distinct owner across the rings. A
+// failed write-through leaves the owner cold, not wrong: the next read
+// misses there and repopulates from the DB. A hot key that missed a
+// copy is demoted by the fan-out rule (transition.Machine.Fanout).
+func (f *Frontend) storeAll(ep *transition.Epoch, key string, data []byte) {
+	f.coord.Fanout(ep, key, func(owner int) bool {
 		if err := f.coord.Client(owner).Set(key, data, f.expiry); err != nil {
 			f.cacheErrs.Inc()
-			failed = true
+			return false
 		}
-	}
-	if failed && len(owners) > 1 {
-		// A replica that missed this write may still hold the previous
-		// value — divergence, which the hot-key replica invariant
-		// forbids. Demote so reads collapse to the primary (no-op for
-		// cold keys); a later promotion re-syncs the copies.
-		f.coord.Demote(key)
-	}
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
+		return true
+	})
 }
 
 // Stats returns a snapshot of outcome counters.

@@ -2,6 +2,7 @@ package webtier
 
 import (
 	"proteus/internal/chunk"
+	"proteus/internal/transition"
 )
 
 // The paper's workload is read-mostly (wiki pages), but a production
@@ -18,16 +19,17 @@ func (f *Frontend) Update(key string, data []byte) error {
 	// needs, the tail pieces must go, or a later manifest read could
 	// pair a new manifest with stale pieces. Fetch the old manifest
 	// (cache-only) to learn the old piece count.
+	ep := f.coord.Epoch()
 	oldPieces := 0
 	if f.pieceSize > 0 {
-		if raw, _, ok := f.cacheFetch(key); ok && chunk.IsManifest(raw) {
+		if raw, _, ok := f.cacheFetch(ep, key); ok && chunk.IsManifest(raw) {
 			if m, err := chunk.DecodeManifest(raw); err == nil {
 				oldPieces = m.Pieces()
 			}
 		}
 	}
 
-	f.writeThrough(key, data)
+	f.writeThrough(ep, key, data)
 
 	// Drop orphaned tail pieces.
 	newPieces := 0
@@ -36,7 +38,7 @@ func (f *Frontend) Update(key string, data []byte) error {
 		newPieces = m.Pieces()
 	}
 	for i := newPieces; i < oldPieces; i++ {
-		f.deleteAll(chunk.PieceKey(key, i))
+		f.deleteAll(ep, chunk.PieceKey(key, i))
 	}
 	return nil
 }
@@ -45,17 +47,18 @@ func (f *Frontend) Update(key string, data []byte) error {
 // forcing the next read back to the database. It reports whether any
 // copy was resident.
 func (f *Frontend) Invalidate(key string) (bool, error) {
+	ep := f.coord.Epoch()
 	pieces := 0
 	if f.pieceSize > 0 {
-		if raw, _, ok := f.cacheFetch(key); ok && chunk.IsManifest(raw) {
+		if raw, _, ok := f.cacheFetch(ep, key); ok && chunk.IsManifest(raw) {
 			if m, err := chunk.DecodeManifest(raw); err == nil {
 				pieces = m.Pieces()
 			}
 		}
 	}
-	removed := f.deleteAll(key)
+	removed := f.deleteAll(ep, key)
 	for i := 0; i < pieces; i++ {
-		if f.deleteAll(chunk.PieceKey(key, i)) {
+		if f.deleteAll(ep, chunk.PieceKey(key, i)) {
 			removed = true
 		}
 	}
@@ -63,25 +66,19 @@ func (f *Frontend) Invalidate(key string) (bool, error) {
 }
 
 // deleteAll removes one key from every distinct owner across the rings,
-// reporting whether any server held it.
-func (f *Frontend) deleteAll(key string) bool {
-	owners := f.coord.WriteOwners(key)
-	removed, failed := false, false
-	for _, owner := range owners {
+// reporting whether any server held it. The fan-out rule applies as in
+// storeAll: a replica that kept its copy through a failed delete must
+// not keep serving it as a hot peer.
+func (f *Frontend) deleteAll(ep *transition.Epoch, key string) bool {
+	removed := false
+	f.coord.Fanout(ep, key, func(owner int) bool {
 		deleted, err := f.coord.Client(owner).Delete(key)
 		if err != nil {
 			f.cacheErrs.Add(1)
-			failed = true
-			continue
+			return false
 		}
-		if deleted {
-			removed = true
-		}
-	}
-	if failed && len(owners) > 1 {
-		// Same divergence rule as storeAll: a replica that kept its copy
-		// through a failed delete must not keep serving it as a hot peer.
-		f.coord.Demote(key)
-	}
+		removed = removed || deleted
+		return true
+	})
 	return removed
 }

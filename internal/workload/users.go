@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"proteus/internal/wiki"
@@ -19,9 +20,10 @@ type UserPool struct {
 	seed         int64
 	// sessionMean parametrises the exponential session durations.
 	sessionMean time.Duration
-	// cdf caches the shared Zipf CDF (lazily built; pools are
-	// materialised before any concurrent use).
-	cdf []float64
+	// cdf caches the shared Zipf CDF, built by the first User call;
+	// RBE load generators call User from one goroutine per user.
+	cdfOnce sync.Once
+	cdf     []float64
 }
 
 // UserPoolConfig configures a pool.
@@ -98,14 +100,13 @@ func (p *UserPool) userZipf(rng *rand.Rand) *Zipf {
 }
 
 func (p *UserPool) initCDF() {
-	if p.cdf != nil {
-		return
-	}
-	z, err := NewZipf(rand.New(rand.NewSource(0)), p.alpha, p.corpus.Pages())
-	if err != nil {
-		panic(err) // unreachable: config validated in NewUserPool
-	}
-	p.cdf = z.cdf
+	p.cdfOnce.Do(func() {
+		z, err := NewZipf(rand.New(rand.NewSource(0)), p.alpha, p.corpus.Pages())
+		if err != nil {
+			panic(err) // unreachable: config validated in NewUserPool
+		}
+		p.cdf = z.cdf
+	})
 }
 
 // NextPage picks the user's next request target (uniform over the
