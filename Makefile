@@ -44,9 +44,10 @@ bench-compare:
 
 # Hard allocation assertions on the protocol hot path (cheap, exact,
 # machine-independent — unlike bench-compare's timing thresholds):
-# zero on the server's GET path, two for a whole GET hit over loopback.
+# zero on the server's GET path, two for a whole GET hit over loopback;
+# and on the DES plane: zero per scheduled event, no per-request closure.
 allocs-check:
-	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto ./internal/cacheclient
+	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto ./internal/cacheclient ./internal/sim
 
 # Conformance smoke: the model-based checker (internal/check) over a
 # fixed seed set on both execution planes, under the race detector,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -22,7 +23,10 @@ import (
 	"proteus/internal/lint"
 	"proteus/internal/livestack"
 	"proteus/internal/loadgen"
+	"proteus/internal/metrics"
 	"proteus/internal/provision"
+	"proteus/internal/sim"
+	"proteus/internal/wiki"
 	"proteus/internal/workload"
 )
 
@@ -345,7 +349,79 @@ func hotPathBenches() ([]namedBench, func(), error) {
 		cleanup()
 		return nil, nil, err
 	}
-	return append(benches, pb...), cleanup, nil
+	sb, err := simBenches()
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return append(append(benches, pb...), sb...), cleanup, nil
+}
+
+// simBenches are the DES plane's rows: the scheduler alone, the
+// histogram every simulated request is recorded in twice, and one whole
+// run.
+func simBenches() ([]namedBench, error) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 1024)
+	latencies := make([]time.Duration, 4096)
+	for i := range delays {
+		delays[i] = time.Duration(1 + rng.Int63n(int64(time.Second)))
+	}
+	for i := range latencies {
+		// 0.2-100 ms, log-uniform: a cache hit up to a queued DB fetch.
+		latencies[i] = time.Duration(float64(200*time.Microsecond) * math.Pow(500, rng.Float64()))
+	}
+	// The configuration of sim's BenchmarkSimProteusCompressedDay.
+	corpus, err := wiki.New(50000, 256)
+	if err != nil {
+		return nil, err
+	}
+	day := sim.NewConfig(sim.ScenarioProteus, corpus, 8*time.Minute, 600)
+	day.CachePagesPerServer = 4000
+	day.SlotWidth = 30 * time.Second
+	day.Warmup = 60 * time.Second
+	day.TTL = 8 * time.Second
+	day.BootDelay = 2 * time.Second
+	day.LatencySlots = 96
+	day.PowerEvery = 5 * time.Second
+
+	return []namedBench{
+		{"sim_engine_event", func(b *testing.B) {
+			// One At and one pop per op on a heap held ~1000 deep, the
+			// depth the closed user loop keeps it at: every event that
+			// fires schedules itself again until b.N have.
+			b.ReportAllocs()
+			eng := sim.NewEngine()
+			left := b.N
+			var tick func()
+			tick = func() {
+				if left > 0 {
+					left--
+					eng.After(delays[left%len(delays)], tick)
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				eng.At(delays[i], tick)
+			}
+			b.ResetTimer()
+			eng.Run(math.MaxInt64)
+		}},
+		{"histogram_observe", func(b *testing.B) {
+			b.ReportAllocs()
+			var h metrics.Histogram
+			for i := 0; i < b.N; i++ {
+				h.Observe(latencies[i%len(latencies)])
+			}
+		}},
+		{"sim_proteus_compressed_day", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Run(day); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+	}, nil
 }
 
 // placementBenchSizes are the fleet sizes the routing benchmarks sweep.

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -39,19 +40,31 @@ var bucketBounds = func() [bucketCount]time.Duration {
 	return bounds
 }()
 
+// octaveStart[n] is the bucket holding the smallest duration whose
+// binary length is n, which is where bucketFor starts its walk: a
+// bucket is ~4% wide, so the rest of the octave is at most 17 further on.
+var octaveStart = func() [65]uint16 {
+	var start [65]uint16
+	i := 0
+	for n := 1; n < len(start); n++ {
+		lowest := time.Duration(1) << (n - 1)
+		for i < bucketCount-1 && bucketBounds[i+1] <= lowest {
+			i++
+		}
+		start[n] = uint16(i)
+	}
+	return start
+}()
+
+// bucketFor returns the bucket i with bucketBounds[i] <= d <
+// bucketBounds[i+1], clamped to the first and last bucket.
 func bucketFor(d time.Duration) int {
 	if d <= minLatency {
 		return 0
 	}
-	i := int(math.Log(float64(d)/float64(minLatency)) / math.Log(growth))
-	if i >= bucketCount {
-		return bucketCount - 1
-	}
-	// Log rounding can land one bucket off; adjust to the invariant
-	// bounds[i] <= d < bounds[i+1].
-	for i > 0 && bucketBounds[i] > d {
-		i--
-	}
+	// The start is the bucket of a duration no larger than d, so the
+	// invariant is only ever reached from below.
+	i := int(octaveStart[bits.Len64(uint64(d))])
 	for i < bucketCount-1 && bucketBounds[i+1] <= d {
 		i++
 	}

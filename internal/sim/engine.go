@@ -9,15 +9,14 @@
 // figure of the evaluation practical.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
-// Engine is a deterministic discrete-event scheduler.
+// Engine is a deterministic discrete-event scheduler. Events fire in
+// (at, seq) order, seq being the order they were scheduled in: a total
+// order, so what fires when depends on nothing about the queue's shape.
 type Engine struct {
 	now    time.Duration
-	events eventHeap
+	events []event // arity-ary min-heap on (at, seq), held by value
 	seq    uint64
 	base   time.Time
 }
@@ -42,13 +41,27 @@ func (e *Engine) Clock() func() time.Time {
 func (e *Engine) Time(d time.Duration) time.Time { return e.base.Add(d) }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past
-// fires the event at the current time (never rewinds the clock).
+// fires the event at the current time (never rewinds the clock). The
+// engine holds fn only until it has fired, so a caller may schedule the
+// same func value again and again.
 func (e *Engine) At(t time.Duration, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / arity
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
 }
 
 // After schedules fn d from now.
@@ -60,12 +73,8 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // next event is at or beyond the horizon; the clock finishes at the
 // horizon.
 func (e *Engine) Run(until time.Duration) {
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.at >= until {
-			break
-		}
-		heap.Pop(&e.events)
+	for len(e.events) > 0 && e.events[0].at < until {
+		next := e.pop()
 		e.now = next.at
 		next.fn()
 	}
@@ -77,32 +86,53 @@ func (e *Engine) Run(until time.Duration) {
 // Pending returns the number of queued events (diagnostics/tests).
 func (e *Engine) Pending() int { return len(e.events) }
 
+// arity is the heap's fan-out, chosen by measurement (EXPERIMENTS.md
+// A11): at the ~1k events a closed user loop keeps pending 2 and 4 cost
+// the same, 4 is ahead once the heap outgrows the cache (trace replay),
+// 8 is behind everywhere.
+const arity = 4
+
 type event struct {
 	at  time.Duration
 	seq uint64 // FIFO tie-break for simultaneous events
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (ev *event) before(other *event) bool {
+	return ev.at < other.at || (ev.at == other.at && ev.seq < other.seq)
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // or the slice keeps the fired closure, and all it captured, alive
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	// Sift the former tail down from the root.
+	i := 0
+	for {
+		first := i*arity + 1
+		if first >= n {
+			break
+		}
+		least, end := first, min(first+arity, n)
+		for c := first + 1; c < end; c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(&last) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = last
+	return top
 }

@@ -75,6 +75,11 @@ type runner struct {
 type simUser struct {
 	user  *workload.User
 	alive bool
+	// turn is the user's one engine callback, built when the user is
+	// spawned and re-armed after every response. The engine drops its
+	// reference when the event fires, so the user owns the func value and
+	// at most one event holds it at a time.
+	turn func()
 }
 
 func newRunner(cfg Config) (*runner, error) {
@@ -250,8 +255,7 @@ func (r *runner) run() (*Result, error) {
 		// User population control: retarget every slot and at start.
 		r.retargetUsers()
 		for s := 1; s < slots; s++ {
-			slot := s
-			r.eng.At(r.cfg.Warmup+time.Duration(slot)*r.cfg.SlotWidth, func() { _ = slot; r.retargetUsers() })
+			r.eng.At(r.cfg.Warmup+time.Duration(s)*r.cfg.SlotWidth, r.retargetUsers)
 		}
 		// Also retarget during warmup-to-measurement handoff.
 		r.eng.At(r.cfg.Warmup, r.retargetUsers)
@@ -457,12 +461,13 @@ func (r *runner) retargetUsers() {
 
 func (r *runner) spawnUser() {
 	u := &simUser{user: r.cfg.Users.User(r.nextUserID), alive: true}
+	u.turn = func() { r.userTurn(u) }
 	r.nextUserID++
 	r.users = append(r.users, u)
 	r.aliveUsers++
 	// Desynchronise first requests across one think period.
 	delay := time.Duration(r.rng.Int63n(int64(workload.ThinkTime) + 1))
-	r.eng.After(delay, func() { r.userTurn(u) })
+	r.eng.After(delay, u.turn)
 }
 
 // userTurn issues one request and reschedules the user after think time.
@@ -480,7 +485,7 @@ func (r *runner) userTurn(u *simUser) {
 			r.slotHist.Observe(finish - issued)
 			r.slotRequests++
 		}
-		r.eng.At(finish+u.user.NextThink(), func() { r.userTurn(u) })
+		r.eng.At(finish+u.user.NextThink(), u.turn)
 	})
 }
 
@@ -524,7 +529,10 @@ func (r *runner) startRequest(key string, done func(finish time.Duration)) {
 	nTried := 0
 	missCounted := false
 	for ring := 0; ring < r.rings(); ring++ {
-		owner := r.routeRing(key, ring, routingN)
+		owner := primary
+		if ring > 0 {
+			owner = r.routeRing(key, ring, routingN)
+		}
 		dup := false
 		for i := 0; i < nTried; i++ {
 			if tried[i] == owner {
