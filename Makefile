@@ -5,12 +5,13 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race lint fmt vet proteuslint staticcheck vulncheck tools bench-smoke bench-baseline bench-compare allocs-check check-smoke placement-smoke policy-smoke loadgen-smoke cover
+.PHONY: all build test race lint fmt vet proteuslint staticcheck vulncheck tools bench-smoke allocs-check check-smoke placement-smoke policy-smoke loadgen-smoke cover
 
-# Minimum total statement coverage for `make cover`, recorded when the
-# conformance harness landed. Raise it when coverage rises; never
-# lower it to make a PR pass.
-COVER_MIN ?= 80.0
+# Minimum total statement coverage for `make cover`: 80.0 when the
+# conformance harness landed, 83.0 since the untested baseline harness
+# left cmd/proteus-bench (measured 83.5). Raise it when coverage rises;
+# never lower it to make a PR pass.
+COVER_MIN ?= 83.0
 
 all: build test lint
 
@@ -23,31 +24,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every benchmark: proves the bench harnesses still
-# compile and run without paying for stable numbers.
+# One iteration of every benchmark: proves the benchmarks still compile
+# and run without paying for stable numbers. -short skips the one sweep
+# point that takes ~20 s to set up (Algorithm 1's table at 1024 servers).
+# For numbers: `go test -bench` + benchstat per function, `bash
+# bench/run.sh` end to end and per layer (DESIGN.md §8 says which).
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
+	$(GO) test -short -run='^$$' -bench=. -benchmem -benchtime=1x ./...
 
-# Machine-readable hot-path baseline (ns/op, B/op, allocs/op) for
-# diffing across revisions; the committed BENCH_baseline.json is the
-# reference point.
-bench-baseline:
-	$(GO) run ./cmd/proteus-bench -bench-baseline BENCH_baseline.json
-
-# Re-measure the hot paths and diff against the committed baseline.
-# Fails on a >25% ns/op regression, or on ANY allocation appearing on a
-# path the baseline records as allocation-free (the zero-alloc GET
-# contract). Numbers are machine-relative, so this is advisory off the
-# baseline's host class; the allocs check is exact everywhere.
-bench-compare:
-	$(GO) run ./cmd/proteus-bench -bench-compare BENCH_baseline.json
-
-# Hard allocation assertions on the protocol hot path (cheap, exact,
-# machine-independent — unlike bench-compare's timing thresholds):
-# zero on the server's GET path, two for a whole GET hit over loopback;
-# and on the DES plane: zero per scheduled event, no per-request closure.
+# Hard allocation assertions (cheap, exact, machine-independent), the
+# Test...Allocs functions of every package that owns a hot path: zero on
+# the server's GET path, two for a whole GET hit over loopback, zero per
+# scheduled DES event and no per-request closure, and zero for a cache
+# hit, a digest insert/probe, a Zipf draw, a sketch observation, a
+# histogram observation, a policy decision and every router's lookup.
+# Plain `go test ./...` runs them too; this is the fast way to ask.
 allocs-check:
-	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto ./internal/cacheclient ./internal/sim
+	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto ./internal/cacheclient ./internal/sim \
+		./internal/cache ./internal/bloom ./internal/workload ./internal/hotkey ./internal/provision \
+		./internal/metrics ./internal/hashring ./internal/core
 
 # Conformance smoke: the model-based checker (internal/check) over a
 # fixed seed set on both execution planes, under the race detector,

@@ -4,15 +4,11 @@
 //
 // Usage:
 //
-//	proteus-bench [-scale tiny|quick|full] [-fig 4|5|6|7|8|9|10|11|all]
-//	proteus-bench -bench-baseline BENCH_baseline.json
-//	proteus-bench -bench-compare BENCH_baseline.json
+//	proteus-bench [-scale tiny|quick|full] [-fig 4|5|6|7|8|9|10|11|ablations|all]
 //
 // Figures 9, 10 and 11 share one set of scenario simulations, run once.
-// The -bench-baseline mode instead measures the core hot paths and
-// writes machine-readable ns/op, B/op and allocs/op figures for diffing
-// across revisions; -bench-compare re-measures them and exits non-zero
-// on a >25% ns/op regression or any allocation on a zero-alloc path.
+// Timing lives elsewhere: end to end and per layer in bench/ (bash
+// bench/run.sh), per function in the packages' Benchmark* functions.
 package main
 
 import (
@@ -34,21 +30,7 @@ func main() {
 	figs := flag.String("fig", "all", "comma-separated figure list (4,5,6,7,8,9,10,11,ablations) or 'all'")
 	tracePath := flag.String("trace", "", "optional wikibench-format trace file for Fig. 5 instead of the synthetic stream")
 	outDir := flag.String("out", "", "also write each rendered figure to <dir>/<name>.txt")
-	baselinePath := flag.String("bench-baseline", "", "measure core hot paths, write machine-readable results to this JSON file, and exit")
-	comparePath := flag.String("bench-compare", "", "measure core hot paths and diff against this baseline JSON, failing on regressions")
 	flag.Parse()
-	if *baselinePath != "" {
-		if err := writeBaseline(*baselinePath); err != nil {
-			log.Fatalf("bench baseline: %v", err)
-		}
-		return
-	}
-	if *comparePath != "" {
-		if err := compareBaseline(*comparePath); err != nil {
-			log.Fatalf("bench compare: %v", err)
-		}
-		return
-	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			log.Fatalf("out dir: %v", err)

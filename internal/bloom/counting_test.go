@@ -233,6 +233,26 @@ func TestSnapshotMatchesCountingMembership(t *testing.T) {
 	}
 }
 
+// The digest is updated on every cache SET and probed on every
+// transition-window miss; neither may allocate.
+func TestCountingInsertContainsAllocs(t *testing.T) {
+	f, err := NewCounting(Params{Counters: 1 << 16, CounterBits: 4, Hashes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Insert", func() { f.Insert("page:1") }},
+		{"Contains", func() { f.Contains("page:1") }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, op.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per op, want 0", op.name, allocs)
+		}
+	}
+}
+
 func BenchmarkCountingInsert(b *testing.B) {
 	f, err := NewCounting(Params{Counters: 1 << 19, CounterBits: 4, Hashes: 4})
 	if err != nil {

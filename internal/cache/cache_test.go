@@ -341,6 +341,18 @@ func BenchmarkCacheSet(b *testing.B) {
 	}
 }
 
+// A hit hands out the stored slice: no copy, no allocation, sharded or
+// behind the single-mutex control.
+func TestGetHitAllocs(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		c := New(Config{Clock: time.Now, Shards: shards})
+		c.Set("page:1", make([]byte, 256), 0)
+		if allocs := testing.AllocsPerRun(1000, func() { c.Get("page:1") }); allocs != 0 {
+			t.Errorf("Shards=%d: Get hit allocates %.1f times per op, want 0", shards, allocs)
+		}
+	}
+}
+
 func BenchmarkCacheGetHit(b *testing.B) {
 	c := New(Config{Clock: time.Now})
 	val := make([]byte, 1024)

@@ -153,50 +153,28 @@ func TestStepTextRoundTrip(t *testing.T) {
 	}
 }
 
-// An overlapping transition cancels the pending TTL expiry. With a
-// broken (no-op) cancel the stale timer would finalize the second
-// window early and power a dying node off before its TTL — exactly the
-// schedule this test replays against the live plane.
-func TestLiveOverlappingTransitionsCancelPendingExpiry(t *testing.T) {
+// An overlapping transition supersedes the pending TTL expiry. Engine
+// events cannot be cancelled, so the first window's expiry still fires;
+// were it to finalize the second window it would power a dying node off
+// half a TTL early — exactly the schedule this test replays on both
+// planes.
+func TestOverlappingTransitionsSupersedePendingExpiry(t *testing.T) {
 	ttl := 30 * time.Second
 	steps := []Step{
 		{Kind: StepScale, Target: 4},
 		{Kind: StepAdvance, Skip: ttl / 2},
-		{Kind: StepScale, Target: 3}, // finalizes the first window, cancels its timer
+		{Kind: StepScale, Target: 3}, // finalizes the first window; its expiry stays queued
 		{Kind: StepAdvance, Skip: ttl / 2},
-		// Total elapsed = first window's deadline: a stale fire would
-		// close the 4->3 window now, half a TTL early.
+		// Total elapsed = first window's deadline: the stale expiry has
+		// just fired, and must not have closed the 4->3 window.
 		{Kind: StepGet, Key: "k000"},
 	}
-	rep, err := Replay(Options{Plane: PlaneLive, TTL: ttl}, steps)
+	rep, err := Replay(Options{Plane: PlaneBoth, TTL: ttl}, steps)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if rep.Violation != nil {
-		t.Fatalf("stale timer fired: %v", rep.Violation)
-	}
-}
-
-// vtimer must fire due entries in deadline order and honour
-// cancellation, including cancels performed by a firing callback.
-func TestVtimerOrderAndCancel(t *testing.T) {
-	vt := &vtimer{}
-	var fired []string
-	vt.After(3*time.Second, func() { fired = append(fired, "c") })
-	cancelB := vt.After(2*time.Second, func() { fired = append(fired, "b") })
-	var cancelD func()
-	vt.After(1*time.Second, func() {
-		fired = append(fired, "a")
-		cancelB()
-		cancelD = vt.After(1*time.Second, func() { fired = append(fired, "d") })
-	})
-	vt.Advance(10 * time.Second)
-	if got := strings.Join(fired, ""); got != "adc" {
-		t.Fatalf("fired %q, want %q (b canceled by a; d, scheduled by a at 1s+1s, fires before c at 3s)", got, "adc")
-	}
-	_ = cancelD
-	if len(vt.entries) != 0 {
-		t.Fatalf("%d entries left after advance", len(vt.entries))
+		t.Fatalf("stale expiry closed the newer window: %v", rep.Violation)
 	}
 }
 

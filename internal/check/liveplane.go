@@ -6,71 +6,11 @@ import (
 	"time"
 
 	"proteus/internal/faultinject"
+	"proteus/internal/sim"
 	"proteus/internal/telemetry"
 	"proteus/internal/testutil/clustertest"
 	"proteus/internal/webtier"
 )
-
-// vtimer is a cancellable virtual timer for the live plane: the
-// coordinator's TTL expiry schedules through After, and the clock only
-// moves when the schedule says so (StepAdvance). Cancellation must be
-// real — an overlapping transition cancels the pending expiry, and a
-// stale fire would finalize the newer window early, which is exactly
-// the premature power-off the checker exists to catch.
-type vtimer struct {
-	now     time.Duration
-	entries []*ventry
-}
-
-type ventry struct {
-	deadline time.Duration
-	fn       func()
-	canceled bool
-}
-
-func (vt *vtimer) After(d time.Duration, fn func()) func() {
-	e := &ventry{deadline: vt.now + d, fn: fn}
-	vt.entries = append(vt.entries, e)
-	return func() { e.canceled = true }
-}
-
-// Advance moves the clock and fires due entries in deadline order
-// (registration order breaks ties). Fired callbacks may schedule or
-// cancel further entries.
-func (vt *vtimer) Advance(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	target := vt.now + d
-	for {
-		best := -1
-		for i, e := range vt.entries {
-			if e.canceled || e.deadline > target {
-				continue
-			}
-			if best == -1 || e.deadline < vt.entries[best].deadline {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		e := vt.entries[best]
-		vt.entries = append(vt.entries[:best], vt.entries[best+1:]...)
-		// Fire at the entry's own deadline: a callback that schedules a
-		// relative delay measures from its fire time, not the skip's end.
-		vt.now = e.deadline
-		e.fn()
-	}
-	vt.now = target
-	live := vt.entries[:0]
-	for _, e := range vt.entries {
-		if !e.canceled {
-			live = append(live, e)
-		}
-	}
-	vt.entries = live
-}
 
 // backingFunc adapts the oracle's versioned map to webtier.Backing.
 type backingFunc func(key string) (string, bool)
@@ -90,7 +30,7 @@ type livePlane struct {
 	env   *clustertest.Env
 	front *webtier.Frontend
 	inj   *faultinject.Injector
-	vt    *vtimer
+	eng   *sim.Engine // the coordinator's TTL timer; moves only on Advance
 	log   *telemetry.EventLog
 }
 
@@ -99,8 +39,8 @@ func newLivePlane(opt Options, db func(key string) (string, bool)) (*livePlane, 
 		return nil, fmt.Errorf("check: the seeded-bug hooks are sim-plane only")
 	}
 	inj := faultinject.New(opt.Seed)
-	vt := &vtimer{}
-	log := telemetry.NewEventLog(telemetry.EventLogConfig{Clock: func() time.Duration { return vt.now }})
+	eng := sim.NewEngine()
+	log := telemetry.NewEventLog(telemetry.EventLogConfig{Clock: eng.Now})
 	//lint:allow transdeterminism the live plane half of the conformance harness drives real network components on purpose; determinism is enforced on the model side
 	env, err := clustertest.New(clustertest.Opts{
 		Nodes:         opt.Servers,
@@ -110,7 +50,7 @@ func newLivePlane(opt Options, db func(key string) (string, bool)) (*livePlane, 
 		Backend:       opt.Backend,
 		Faults:        inj,
 		Seed:          opt.Seed,
-		After:         vt.After,
+		After:         eng.Timer,
 		Events:        log,
 	})
 	if err != nil {
@@ -125,7 +65,7 @@ func newLivePlane(opt Options, db func(key string) (string, bool)) (*livePlane, 
 		env.Close()
 		return nil, err
 	}
-	return &livePlane{env: env, front: front, inj: inj, vt: vt, log: log}, nil
+	return &livePlane{env: env, front: front, inj: inj, eng: eng, log: log}, nil
 }
 
 func (p *livePlane) Name() string { return "live" }
@@ -184,7 +124,7 @@ func (p *livePlane) Crash(server int) {
 func (p *livePlane) Partition(server int) { p.inj.Partition(server) }
 func (p *livePlane) Heal(server int)      { p.inj.Heal(server) }
 
-func (p *livePlane) Advance(d time.Duration) { p.vt.Advance(d) }
+func (p *livePlane) Advance(d time.Duration) { p.eng.Advance(d) }
 
 func (p *livePlane) State() PlaneState {
 	st := PlaneState{Active: p.env.Coord.Active(), Transition: p.env.Coord.InTransition()}

@@ -263,21 +263,79 @@ func TestReplicatedBackendRings(t *testing.T) {
 	}
 }
 
-// TestO1BackendRouteAllocs enforces the zero-allocation contract on the
-// O(1) route paths (also enforced statically by the hotalloc lint).
-func TestO1BackendRouteAllocs(t *testing.T) {
-	for _, kind := range [2]BackendKind{BackendPCH, BackendJump} {
-		b, err := NewBackend(kind, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(1000, func() {
-			b.Lookup("page:31415", 1024)
-			b.LookupSeeded("page:31415", 0x9e3779b97f4a7c15, 1024)
-		}); allocs != 0 {
-			t.Fatalf("%s: route path allocates %.1f times per op, want 0", kind, allocs)
+// fleetSizes are the sizes the routing benchmarks sweep, here and in
+// hashring: 16 is the paper-scale cluster, 128 a realistic pool, 1024
+// the scale where Algorithm 1's precomputed table stops being free —
+// quadratic construction (~20 s) and a log-sized range search, against
+// the O(1) backends' constant construction and flat route cost.
+var fleetSizes = [3]int{16, 128, 1024}
+
+// slowToBuild reports the one sweep point too slow for a tier-1 test
+// or a -short benchmark smoke.
+func slowToBuild(kind BackendKind, n int) bool { return kind == BackendProteus && n > 128 }
+
+// TestBackendRouteAllocs enforces the zero-allocation contract on every
+// backend's route path, seeded and unseeded (the O(1) paths are also
+// held to it statically by the hotalloc lint). Algorithm 1 at 1024 is
+// the same range search over a longer table.
+func TestBackendRouteAllocs(t *testing.T) {
+	for _, kind := range backendKinds {
+		for _, n := range fleetSizes {
+			if slowToBuild(kind, n) {
+				continue
+			}
+			b, err := NewBackend(kind, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() {
+				b.Lookup("page:31415", n)
+				b.LookupSeeded("page:31415", 0x9e3779b97f4a7c15, n)
+			}); allocs != 0 {
+				t.Errorf("%s n=%d: route path allocates %.1f times per op, want 0", kind, n, allocs)
+			}
 		}
 	}
+}
+
+// sweepBackends runs fn once per backend kind and fleet size.
+func sweepBackends(b *testing.B, fn func(b *testing.B, kind BackendKind, n int)) {
+	for _, kind := range backendKinds {
+		for _, n := range fleetSizes {
+			b.Run(fmt.Sprintf("%s/n%d", kind, n), func(b *testing.B) {
+				if testing.Short() && slowToBuild(kind, n) {
+					b.Skip("Algorithm 1's table takes ~20 s to build at this size")
+				}
+				fn(b, kind, n)
+			})
+		}
+	}
+}
+
+func BenchmarkBackendRoute(b *testing.B) {
+	keys := sampleKeys(4096)
+	sweepBackends(b, func(b *testing.B, kind BackendKind, n int) {
+		backend, err := NewBackend(kind, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			routeSink += backend.Lookup(keys[i%len(keys)], n)
+		}
+	})
+}
+
+func BenchmarkBackendConstruct(b *testing.B) {
+	sweepBackends(b, func(b *testing.B, kind BackendKind, n int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewBackend(kind, n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestPCHRouteFlatAcrossFleetSize is the perf acceptance gate for the

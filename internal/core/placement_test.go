@@ -353,18 +353,6 @@ func TestOwnerClampsActiveAboveN(t *testing.T) {
 	}
 }
 
-func BenchmarkPlacementConstruct(b *testing.B) {
-	for _, n := range []int{10, 40, 128} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := New(n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkLookup(b *testing.B) {
 	p, err := New(40)
 	if err != nil {
@@ -374,8 +362,4 @@ func BenchmarkLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Owner(uint64(i)*0x9e3779b97f4a7c15&(RingSize-1), 25)
 	}
-}
-
-func sizeName(n int) string {
-	return string(appendKey(nil, n)[4:]) + "-servers"
 }

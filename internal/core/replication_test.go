@@ -112,3 +112,41 @@ func TestPointSeededDiffersFromPoint(t *testing.T) {
 		t.Errorf("%d/1000 keys hash identically under different seeds", same)
 	}
 }
+
+// Every read resolves its ring-0 owner through the replicated resolver
+// (webtier, the DES request path); that must not allocate. Resolving a
+// promoted key's distinct owners returns a slice and is charged one.
+func TestReplicatedOwnerOnRingAllocs(t *testing.T) {
+	r, err := NewReplicated(48, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ring := 0; ring < r.Replicas(); ring++ {
+		if allocs := testing.AllocsPerRun(1000, func() { r.OwnerOnRing("page:31415", ring, 48) }); allocs != 0 {
+			t.Errorf("ring %d: OwnerOnRing allocates %.1f times per op, want 0", ring, allocs)
+		}
+	}
+}
+
+// BenchmarkReplicatedOwners prices the two routing decisions of the
+// hot-key layer: a cold key's single ring-0 owner, and a promoted key's
+// distinct owners at depth 2.
+func BenchmarkReplicatedOwners(b *testing.B) {
+	r, err := NewReplicated(48, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := sampleKeys(4096)
+	b.Run("OwnerOnRing", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			routeSink += r.OwnerOnRing(keys[i%len(keys)], 0, 48)
+		}
+	})
+	b.Run("DistinctOwnersN", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			routeSink += len(r.DistinctOwnersN(keys[i%len(keys)], 48, 2))
+		}
+	})
+}

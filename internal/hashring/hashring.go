@@ -144,38 +144,8 @@ func (a Adapter) Route(key string, active int) int {
 	return a.Placement.Lookup(key, active)
 }
 
-// ReplicaRouter extends Router with replica-set resolution: the
-// distinct servers that hold copies of a key, primary first. A scheme
-// without replication returns a single-element set.
-type ReplicaRouter interface {
-	Router
-	// RouteReplicas returns the distinct owners for a key resolved at
-	// the given replica depth (clamped to the scheme's maximum). The
-	// first entry always equals Route(key, active).
-	RouteReplicas(key string, active, replicas int) []int
-}
-
-// ReplicatedAdapter exposes a Section III-E replicated placement as a
-// ReplicaRouter: Route answers on the primary ring, RouteReplicas over
-// the first `replicas` rings. The hot-key layer resolves cold keys at
-// depth 1 and promoted keys at depth R against one shared instance.
-type ReplicatedAdapter struct {
-	Replicated *core.Replicated
-}
-
-// Route implements Router (primary ring).
-func (a ReplicatedAdapter) Route(key string, active int) int {
-	return a.Replicated.OwnerOnRing(key, 0, active)
-}
-
-// RouteReplicas implements ReplicaRouter.
-func (a ReplicatedAdapter) RouteReplicas(key string, active, replicas int) []int {
-	return a.Replicated.DistinctOwnersN(key, active, replicas)
-}
-
 var (
-	_ Router        = Naive{}
-	_ Router        = (*Consistent)(nil)
-	_ Router        = Adapter{}
-	_ ReplicaRouter = ReplicatedAdapter{}
+	_ Router = Naive{}
+	_ Router = (*Consistent)(nil)
+	_ Router = Adapter{}
 )

@@ -223,15 +223,39 @@ func BenchmarkNaiveRoute(b *testing.B) {
 	}
 }
 
-func BenchmarkConsistentRoute(b *testing.B) {
-	c, err := NewConsistent(10, 50)
-	if err != nil {
-		b.Fatal(err)
+// fleetSizes are the sizes the routing benchmarks sweep, here and in
+// core: 16 is the paper-scale cluster, 128 a realistic pool, 1024 the
+// scale where a log-sized ring search and Algorithm 1's quadratic
+// table stop being free next to the O(1) backends.
+var fleetSizes = [3]int{16, 128, 1024}
+
+// The Consistent baseline routes every simulated request of its
+// scenario; the ring search must not allocate at any size.
+func TestConsistentRouteAllocs(t *testing.T) {
+	for _, n := range fleetSizes {
+		c, err := NewConsistentLogN(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { c.Route("page:31415", n) }); allocs != 0 {
+			t.Errorf("n=%d: Route allocates %.1f times per op, want 0", n, allocs)
+		}
 	}
-	ks := keys(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Route(ks[i%len(ks)], 7)
+}
+
+func BenchmarkConsistentRoute(b *testing.B) {
+	ks := keys(4096)
+	for _, n := range fleetSizes {
+		c, err := NewConsistentLogN(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Route(ks[i%len(ks)], n)
+			}
+		})
 	}
 }
 

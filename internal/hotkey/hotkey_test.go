@@ -50,7 +50,7 @@ func exactTop(counts map[string]uint64, k int) []string {
 	return out
 }
 
-func zipfStream(t *testing.T, seed int64, s float64, keys, n int) []string {
+func zipfStream(t testing.TB, seed int64, s float64, keys, n int) []string {
 	t.Helper()
 	z, err := workload.NewZipf(rand.New(rand.NewSource(seed)), s, keys)
 	if err != nil {
@@ -335,4 +335,32 @@ func mustEncodeRaw(t *testing.T, epoch uint64, replicas int, keys []string) []by
 		buf = append(buf, k...)
 	}
 	return buf
+}
+
+// The coordinator observes every GET, so a warm sketch must take a
+// Zipf(0.99) stream — counter bumps for the tracked head, space-saving
+// evictions for the tail — without allocating.
+func TestSketchObserveAllocs(t *testing.T) {
+	stream := zipfStream(t, 2, 0.99, 4096, 1<<14)
+	sk := NewSketch(64)
+	for _, k := range stream {
+		sk.Observe(k)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(len(stream), func() {
+		sk.Observe(stream[i%len(stream)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Observe allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+func BenchmarkSketchObserve(b *testing.B) {
+	stream := zipfStream(b, 2, 0.99, 4096, 1<<16)
+	sk := NewSketch(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk.Observe(stream[i%len(stream)])
+	}
 }

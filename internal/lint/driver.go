@@ -46,8 +46,7 @@ func (r *Result) Unsuppressed() int {
 // the full analyzer suite: directive validation and the per-package
 // analyzers on each package, then the whole-program analyzers over the
 // resolved call graph of everything loaded. It is the single driver
-// shared by cmd/proteuslint, the lint selfcheck test, and the
-// lint_selfcheck benchmark entry.
+// shared by cmd/proteuslint and the lint selfcheck test.
 //
 // progress, when non-nil, receives one line per package as it loads.
 func RunRepo(root string, patterns []string, progress io.Writer) (*Result, error) {

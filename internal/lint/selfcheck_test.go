@@ -10,6 +10,7 @@ package lint_test
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"proteus/internal/lint"
 )
@@ -34,6 +35,12 @@ func TestRepositoryIsClean(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s: %s (%s)", res.Fset.Position(f.Pos), f.Message, f.Analyzer)
+	}
+	// An absolute ceiling, not a comparison with an earlier run: CI lints
+	// on every push, so the suite must stay interactive. It takes a few
+	// seconds; tens of seconds means an analyzer went quadratic.
+	if budget := 60 * time.Second; res.Duration > budget {
+		t.Errorf("the analyzer suite took %v over the repository, budget %v", res.Duration, budget)
 	}
 	t.Logf("checked %d packages in %v (%d findings suppressed by //lint:allow)",
 		res.Packages, res.Duration, len(res.Findings)-res.Unsuppressed())

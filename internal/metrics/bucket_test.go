@@ -53,6 +53,17 @@ func TestBucketForMatchesLogReference(t *testing.T) {
 	}
 }
 
+// Every simulated request is observed twice (by source and overall);
+// Observe must not allocate, in the first bucket or the last.
+func TestHistogramObserveAllocs(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{0, time.Millisecond, time.Hour} {
+		if allocs := testing.AllocsPerRun(1000, func() { h.Observe(d) }); allocs != 0 {
+			t.Errorf("Observe(%v) allocates %.1f times per op, want 0", d, allocs)
+		}
+	}
+}
+
 // BenchmarkHistogramObserve draws from the range the simulator's
 // response times fall in (a cache hit is ~1 ms, a queued DB fetch tens
 // of ms), spread log-uniformly so the walk length varies.

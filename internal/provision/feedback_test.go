@@ -30,6 +30,44 @@ func plantDelay(rate float64, n int) time.Duration {
 	}
 }
 
+// decideStates holds one measurement per plant regime: far under the
+// reference, inside the deadband, above the reference, over the bound —
+// so a Decide loop over them takes every branch (PI update, deadband,
+// dwell/drain/energy gates, violation).
+var decideStates = [4]State{
+	{Delay: 100 * time.Millisecond, Rate: 2400, Active: 30, SlotWidth: testSlot},
+	{Delay: 380 * time.Millisecond, Rate: 3600, Active: 30, SlotWidth: testSlot},
+	{Delay: 460 * time.Millisecond, Rate: 4200, Active: 36, SlotWidth: testSlot},
+	{Delay: 600 * time.Millisecond, Rate: 4600, Active: 40, SlotWidth: testSlot},
+}
+
+func decideNext(d *DelayFeedback, i int) Target {
+	s := decideStates[i%len(decideStates)]
+	s.Slot = i
+	return d.Decide(s)
+}
+
+// Once per slot in production, but in tight loops inside the policy
+// sweeps: a slot decision must not allocate in any regime.
+func TestDelayFeedbackDecideAllocs(t *testing.T) {
+	d := NewDelayFeedback(48, testCap)
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		decideNext(d, i)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Decide allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+func BenchmarkDelayFeedbackDecide(b *testing.B) {
+	d := NewDelayFeedback(48, testCap)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		decideNext(d, i)
+	}
+}
+
 // drive runs the controller against the plant for the given rate
 // trajectory, one Decide per slot, and returns the fleet and delay
 // trajectories.

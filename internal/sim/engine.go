@@ -83,6 +83,32 @@ func (e *Engine) Run(until time.Duration) {
 	}
 }
 
+// Advance moves the clock d forward, firing every event due at or
+// before the new time, each with the clock reading its own time. It is
+// how an externally stepped driver (Harness, the conformance checker's
+// live plane) spends a skip: Run's horizon is exclusive, and a skip that
+// lands exactly on a deadline must fire it.
+func (e *Engine) Advance(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	until := e.now + d
+	for len(e.events) > 0 && e.events[0].at <= until {
+		next := e.pop()
+		e.now = next.at
+		next.fn()
+	}
+	e.now = until
+}
+
+// Timer adapts the engine to the transition machine's After hook.
+// Engine events cannot be cancelled; the machine recognises a
+// superseded expiry by its generation.
+func (e *Engine) Timer(d time.Duration, fn func()) (cancel func()) {
+	e.After(d, fn)
+	return func() {}
+}
+
 // Pending returns the number of queued events (diagnostics/tests).
 func (e *Engine) Pending() int { return len(e.events) }
 

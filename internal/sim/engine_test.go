@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -85,6 +86,47 @@ func TestEngineClock(t *testing.T) {
 	e.Run(2 * time.Minute)
 	if got := clock().Sub(t0); got != 2*time.Minute {
 		t.Fatalf("clock advanced %v, want 2m", got)
+	}
+}
+
+// Advance's horizon is inclusive (a skip landing exactly on a deadline
+// fires it), each callback reads its own time, events a callback
+// schedules inside the skip fire in the same skip, and the clock ends at
+// the skip's end with later events left pending.
+func TestEngineAdvance(t *testing.T) {
+	e := NewEngine()
+	type firing struct {
+		name string
+		at   time.Duration
+	}
+	var fired []firing
+	note := func(name string) func() {
+		return func() { fired = append(fired, firing{name, e.Now()}) }
+	}
+	e.After(3*time.Second, note("c"))
+	e.After(time.Second, func() {
+		note("a")()
+		e.After(time.Second, note("b")) // 1s + 1s: before c
+	})
+	e.After(10*time.Second, note("edge"))
+	e.After(10*time.Second+1, note("late"))
+
+	e.Advance(0)
+	e.Advance(-time.Second)
+	if len(fired) != 0 || e.Now() != 0 {
+		t.Fatalf("a non-positive skip fired %v, clock %v", fired, e.Now())
+	}
+	e.Advance(10 * time.Second)
+	want := []firing{{"a", time.Second}, {"b", 2 * time.Second}, {"c", 3 * time.Second}, {"edge", 10 * time.Second}}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if e.Now() != 10*time.Second || e.Pending() != 1 {
+		t.Fatalf("after the skip: clock %v, %d pending; want 10s, 1", e.Now(), e.Pending())
+	}
+	e.Advance(time.Second)
+	if last := fired[len(fired)-1]; last != (firing{"late", 10*time.Second + 1}) || e.Now() != 11*time.Second {
+		t.Fatalf("second skip: last fired %v, clock %v", last, e.Now())
 	}
 }
 

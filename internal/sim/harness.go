@@ -33,12 +33,6 @@ type Harness struct {
 	eng   *Engine
 	m     *transition.Machine
 	fleet *fleet
-
-	// The machine's TTL timer: armed through after, fired by
-	// AdvanceClock — expiry happens when the schedule advances the
-	// clock, never behind the explorer's back.
-	deadline time.Duration
-	expire   func()
 }
 
 // HarnessConfig configures a Harness. Servers, InitialActive, TTL, and
@@ -114,7 +108,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		TTL:           cfg.TTL,
 		HotReplicas:   cfg.HotReplicas,
 		Backend:       cfg.Backend,
-		After:         h.after,
+		After:         h.eng.Timer,
 		Faults:        cfg.Faults,
 		Events:        cfg.Events,
 	})
@@ -123,11 +117,6 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 	}
 	h.m = m
 	return h, nil
-}
-
-func (h *Harness) after(d time.Duration, fn func()) func() {
-	h.deadline, h.expire = h.eng.Now()+d, fn
-	return func() { h.expire = nil }
 }
 
 // Now returns the harness's virtual time.
@@ -271,14 +260,6 @@ func (h *Harness) SetActive(n int) error {
 }
 
 // AdvanceClock moves virtual time forward, firing the transition
-// deadline if the skip crosses it.
-func (h *Harness) AdvanceClock(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	h.eng.Run(h.eng.Now() + d)
-	if expire := h.expire; expire != nil && h.eng.Now() >= h.deadline {
-		h.expire = nil
-		expire()
-	}
-}
+// deadline if the skip reaches it: expiry happens when the schedule
+// advances the clock, never behind the explorer's back.
+func (h *Harness) AdvanceClock(d time.Duration) { h.eng.Advance(d) }

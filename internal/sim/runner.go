@@ -144,14 +144,9 @@ func newRunner(cfg Config) (*runner, error) {
 			TTL:           cfg.TTL,
 			Replicas:      cfg.Replicas,
 			Backend:       cfg.Backend,
-			// Engine events cannot be cancelled; the machine recognises
-			// a superseded expiry by its generation.
-			After: func(d time.Duration, fn func()) func() {
-				eng.After(d, fn)
-				return func() {}
-			},
-			Faults: cfg.Faults,
-			Events: r.events,
+			After:         eng.Timer,
+			Faults:        cfg.Faults,
+			Events:        r.events,
 		})
 		if err != nil {
 			return nil, err

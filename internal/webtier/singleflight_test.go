@@ -1,7 +1,9 @@
 package webtier
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,8 +33,8 @@ func TestFlightGroupCollapses(t *testing.T) {
 			}
 		}()
 	}
-	// Give all goroutines time to join the flight, then release.
-	time.Sleep(50 * time.Millisecond)
+	// Release once the nine that are not leading have joined.
+	awaitJoined(t, 9)
 	close(release)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {
@@ -78,9 +80,45 @@ func TestFlightGroupDistinctKeysRunConcurrently(t *testing.T) {
 	}
 }
 
-// End to end: a cold hot-key stampede reaches the database exactly once.
+// gatedDB holds every Get until the gate opens.
+type gatedDB struct {
+	Backing
+	open chan struct{}
+}
+
+func (g gatedDB) Get(key string) ([]byte, error) {
+	<-g.open
+	return g.Backing.Get(key)
+}
+
+// awaitJoined returns once n goroutines are parked in flightGroup.do
+// on another caller's flight, read off the goroutine dump: the only
+// channel receive made by do itself is the wait for a flight's leader.
+func awaitJoined(t *testing.T, n int) {
+	t.Helper()
+	parked := []byte(" [chan receive]:\nproteus/internal/webtier.(*flightGroup).do(")
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := bytes.Count(buf[:runtime.Stack(buf, true)], parked)
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d callers joined a flight", got, n)
+		}
+	}
+}
+
+// End to end: a cold hot-key stampede reaches the database exactly once
+// and every other caller is counted as collapsed. The leader is held at
+// the database until the rest of the stampede has joined its flight:
+// without the gate the no-sleep database can let the leader finish
+// before anyone leaves their cache probe, and the rest resolve through
+// the double-check with nothing collapsed.
 func TestDogPileProtection(t *testing.T) {
 	e := newEnv(t, 2, 2)
+	open := make(chan struct{})
+	e.front.db = gatedDB{Backing: e.front.db, open: open}
 	key := e.corpus.Key(5)
 	const stampede = 16
 	var wg sync.WaitGroup
@@ -93,12 +131,14 @@ func TestDogPileProtection(t *testing.T) {
 			}
 		}()
 	}
+	awaitJoined(t, stampede-1)
+	close(open)
 	wg.Wait()
 	s := e.front.Stats()
 	if s.DBFetches != 1 {
 		t.Fatalf("stampede reached the database %d times, want 1", s.DBFetches)
 	}
-	if s.Collapsed == 0 {
-		t.Fatal("no collapsed fetches recorded")
+	if s.Collapsed != stampede-1 {
+		t.Fatalf("%d collapsed fetches recorded, want %d", s.Collapsed, stampede-1)
 	}
 }

@@ -355,6 +355,19 @@ func TestSessionDurationExponential(t *testing.T) {
 	}
 }
 
+// One draw per simulated or generated request: Next must not allocate.
+func TestZipfNextAllocs(t *testing.T) {
+	for _, alpha := range []float64{0.8, 0.99} {
+		z, err := NewZipf(rand.New(rand.NewSource(1)), alpha, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { z.Next() }); allocs != 0 {
+			t.Errorf("alpha=%g: Next allocates %.1f times per op, want 0", alpha, allocs)
+		}
+	}
+}
+
 func BenchmarkZipfNext(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	z, err := NewZipf(rng, 0.8, 1<<20)
