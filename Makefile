@@ -48,7 +48,11 @@ allocs-check:
 # fixed seed set on both execution planes, under the race detector,
 # plus a byte-identity diff of two same-seed runs (the determinism
 # proof CI relies on) and an end-to-end probe+shrink validation via
-# the deliberately seeded bug. Budget: well under 60 s.
+# the deliberately seeded bug. Budget: well under 60 s. Then a wide
+# sweep of the sim plane alone, without -race: it runs the shipping
+# webtier.Frontend at ~35 ms per 5000-step seed, so seeds 1-200 at
+# -replicas 1 and 2 (400 runs, two million steps) fit a budget of
+# < 20 s (measured 14 s).
 CHECK_SEEDS := 11 12 13
 check-smoke:
 	@$(GO) build -race -o /tmp/proteus-check-race ./cmd/proteus-check
@@ -88,6 +92,13 @@ check-smoke:
 	@if /tmp/proteus-check-race -replay /tmp/proteus-fanout.check \
 		> /dev/null 2>&1; then \
 		echo "check-smoke: fan-out artifact replay did not reproduce"; exit 1; fi
+	@echo "check-smoke: sim plane, seeds 1-200, 5000 steps, replicas 1 and 2"
+	@$(GO) build -o /tmp/proteus-check-sweep ./cmd/proteus-check
+	@for replicas in 1 2; do for seed in $$(seq 1 200); do \
+		/tmp/proteus-check-sweep -seed $$seed -steps 5000 -plane sim -replicas $$replicas \
+			-o /tmp/proteus-sweep.check > /tmp/proteus-check-sweep.out 2>&1 \
+			|| { echo "check-smoke: seed $$seed replicas $$replicas"; cat /tmp/proteus-check-sweep.out; exit 1; }; \
+	done; done
 	@echo "check-smoke: ok"
 
 # Placement-backend smoke: the same conformance checker, but routing

@@ -178,12 +178,7 @@ func main() {
 			}
 			switch op := r.URL.Query().Get("op"); op {
 			case "", "promote":
-				hot, err := coord.Promote(key)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusConflict)
-					return
-				}
-				fmt.Fprintf(w, "hot %v\n", hot)
+				fmt.Fprintf(w, "hot %v\n", coord.Promote(key))
 			case "demote":
 				fmt.Fprintf(w, "demoted %v\n", coord.Demote(key))
 			default:

@@ -13,9 +13,10 @@
 //   - A schedule explorer that generates randomized, seeded histories
 //     (interleaved client gets and writes, overlapping n→n±1
 //     transitions, crashes, partitions via internal/faultinject, and
-//     clock skips) and drives them against either execution plane: the
-//     discrete-event simulator (sim.Harness) or the real TCP stack
-//     (cluster.Coordinator + cacheserver.LocalNode + webtier.Frontend).
+//     clock skips) and drives them against either execution plane:
+//     webtier.Frontend — the Algorithm 2 that ships — over the
+//     discrete-event simulator (sim.Harness) or over the real TCP stack
+//     (cluster.Coordinator + cacheserver.LocalNode).
 //     After every step a pluggable set of invariant probes runs:
 //     balance condition at every prefix, migration set within the
 //     |Δn|/max(n,n') bound, digest↔cache exactness, residency mirror,

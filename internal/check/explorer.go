@@ -237,9 +237,9 @@ func (g *stepGen) nextReplicated(active int) Step {
 }
 
 // eventsJSON renders a plane's event log deterministically.
-func eventsJSON(p Plane) []byte {
+func eventsJSON(p *plane) []byte {
 	var buf bytes.Buffer
-	if err := p.Events().WriteJSON(&buf); err != nil {
+	if err := p.log.WriteJSON(&buf); err != nil {
 		return nil
 	}
 	return buf.Bytes()

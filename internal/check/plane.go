@@ -2,50 +2,69 @@ package check
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"time"
 
 	"proteus/internal/bloom"
 	"proteus/internal/faultinject"
 	"proteus/internal/sim"
 	"proteus/internal/telemetry"
+	"proteus/internal/testutil/clustertest"
 	"proteus/internal/transition"
+	"proteus/internal/webtier"
 )
 
-// Plane is one execution of the cluster semantics the checker can
-// drive: the discrete-event simulator or the live TCP stack. Both
-// consume the same step vocabulary; the probes compare each against the
-// oracle and (in lockstep mode) against each other.
-type Plane interface {
-	// Name is "sim" or "live" in reports.
-	Name() string
-	// Get runs Algorithm 2 for one key.
-	Get(key string) Observation
-	// Set writes value through to the current owner. The backing store
-	// has already advanced (the oracle owns it).
-	Set(key, value string) Observation
-	// Scale executes SetActive(n).
-	Scale(n int) Observation
-	// Promote moves key into the hot set (Found reports whether it is
-	// hot on return; promotion is atomic or nothing).
-	Promote(key string) Observation
-	// Demote removes key from the hot set (Found reports whether it
-	// was hot).
-	Demote(key string) Observation
-	// Crash powers a server off outside any provisioning decision.
-	Crash(server int)
-	// Partition blackholes a server in this plane's fault injector.
-	Partition(server int)
-	// Heal lifts the partition.
-	Heal(server int)
-	// Advance skips the plane's virtual clock, firing any transition
+// plane is one execution of the cluster semantics the checker can
+// drive: the discrete-event simulator or the live TCP stack. Both run
+// the same webtier.Frontend — the Algorithm 2 that ships — and consume
+// the same step vocabulary; they differ only in how the cluster under
+// the front end is built (newPlane) and how its nodes are inspected
+// (nodes). The probes compare each against the oracle and (in lockstep
+// mode) against each other.
+type plane struct {
+	name  string // "sim" or "live" in reports
+	front *webtier.Frontend
+	tier  webtier.CacheTier
+	ctl   control
+	nodes nodes
+	inj   *faultinject.Injector
+	log   *telemetry.EventLog
+	// advance skips the plane's virtual clock, firing any transition
 	// deadline it crosses.
-	Advance(d time.Duration)
-	// State snapshots the observable cluster state for the probes.
-	State() PlaneState
-	// Events returns the plane's telemetry event log.
-	Events() *telemetry.EventLog
-	// Close releases the plane's resources.
-	Close()
+	advance func(time.Duration)
+	close   func()
+	// primaryOnlyWrites is the seeded fan-out bug (sim plane only): Set
+	// writes the primary owner and nothing else, leaving a hot key's
+	// replicas holding stale copies — what the write-fanout probe exists
+	// to catch.
+	primaryOnlyWrites bool
+}
+
+// control is the provisioning and hot-set surface of a cluster;
+// *sim.Harness and *cluster.Coordinator have it in one shape.
+type control interface {
+	SetActive(n int) error
+	Promote(key string) bool
+	Demote(key string) bool
+	Active() int
+	InTransition() bool
+}
+
+// nodes is how a plane's servers are inspected and crashed, outside any
+// routing: *sim.Harness reads its in-memory nodes, liveNodes the
+// in-process cache servers.
+type nodes interface {
+	Servers() int
+	NodeOn(i int) bool
+	// ResidentKeys returns server i's cached keys, sorted; nil when off.
+	ResidentKeys(i int) []string
+	// DigestContains probes server i's live counting filter.
+	DigestContains(i int, key string) bool
+	// NodeValue reads server i's stored value for key directly.
+	NodeValue(i int, key string) ([]byte, bool)
+	// Crash powers server i off outside any provisioning decision.
+	Crash(i int)
 }
 
 // NodeState is one server's observable state.
@@ -91,57 +110,101 @@ func digestParams() bloom.Params {
 	return bloom.Params{Counters: 1 << 14, CounterBits: 4, Hashes: 4}
 }
 
-// simPlane adapts sim.Harness to the Plane interface.
-type simPlane struct {
-	h   *sim.Harness
-	inj *faultinject.Injector
-	log *telemetry.EventLog
+// errUnknownKey is the backing store's answer for a key the oracle's
+// versioned map does not hold.
+var errUnknownKey = errors.New("check: backing store has no such key")
+
+// backingFunc adapts the oracle's versioned map to webtier.Backing.
+type backingFunc func(key string) (string, bool)
+
+func (f backingFunc) Get(key string) ([]byte, error) {
+	v, ok := f(key)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", errUnknownKey, key)
+	}
+	return []byte(v), nil
 }
 
-func newSimPlane(opt Options, db func(key string) (string, bool)) (*simPlane, error) {
-	inj := faultinject.New(opt.Seed)
-	p := &simPlane{inj: inj}
-	p.log = telemetry.NewEventLog(telemetry.EventLogConfig{Clock: func() time.Duration {
-		if p.h == nil {
-			return 0
-		}
-		return p.h.Now()
-	}})
-	h, err := sim.NewHarness(sim.HarnessConfig{
-		Servers:       opt.Servers,
-		InitialActive: opt.InitialActive,
-		TTL:           opt.TTL,
-		Backend:       opt.Backend,
-		DigestParams:  digestParams(),
-		DB: func(key string) ([]byte, bool) {
-			v, ok := db(key)
-			if !ok {
-				return nil, false
+// newPlane builds the cluster of one kind — sim.Harness, or
+// cluster.Coordinator over TCP cacheserver.LocalNodes — and a
+// webtier.Frontend over it, reading the oracle's backing store.
+func newPlane(kind PlaneKind, opt Options, db func(key string) (string, bool)) (*plane, error) {
+	p := &plane{name: kind.String(), inj: faultinject.New(opt.Seed), close: func() {}}
+	switch kind {
+	case PlaneSim:
+		var h *sim.Harness
+		p.log = telemetry.NewEventLog(telemetry.EventLogConfig{Clock: func() time.Duration {
+			if h == nil { // the machine powers the initial prefix on while NewHarness runs
+				return 0
 			}
-			return []byte(v), true
-		},
-		Faults:              inj,
-		Events:              p.log,
-		UnsafeEarlyPowerOff: opt.SeedBug,
-		HotReplicas:         opt.HotReplicas,
-		UnsafeSkipFanout:    opt.SeedBugFanout,
-	})
+			return h.Now()
+		}})
+		h, err := sim.NewHarness(sim.HarnessConfig{
+			Servers:             opt.Servers,
+			InitialActive:       opt.InitialActive,
+			TTL:                 opt.TTL,
+			Backend:             opt.Backend,
+			DigestParams:        digestParams(),
+			Faults:              p.inj,
+			Events:              p.log,
+			UnsafeEarlyPowerOff: opt.SeedBug,
+			HotReplicas:         opt.HotReplicas,
+		})
+		if err != nil {
+			return nil, err
+		}
+		p.tier, p.ctl, p.nodes, p.advance = h.Tier(), h, h, h.AdvanceClock
+		p.primaryOnlyWrites = opt.SeedBugFanout
+	case PlaneLive:
+		if opt.SeedBug || opt.SeedBugFanout {
+			return nil, fmt.Errorf("check: the seeded-bug hooks are sim-plane only")
+		}
+		eng := sim.NewEngine() // the coordinator's TTL timer; moves only on Advance
+		p.log = telemetry.NewEventLog(telemetry.EventLogConfig{Clock: eng.Now})
+		//lint:allow transdeterminism the live plane half of the conformance harness drives real network components on purpose; determinism is enforced on the model side
+		env, err := clustertest.New(clustertest.Opts{
+			Nodes:         opt.Servers,
+			InitialActive: opt.InitialActive,
+			TTL:           opt.TTL,
+			HotReplicas:   opt.HotReplicas,
+			Backend:       opt.Backend,
+			Faults:        p.inj,
+			Seed:          opt.Seed,
+			After:         eng.Timer,
+			Events:        p.log,
+		})
+		if err != nil {
+			return nil, err
+		}
+		p.tier, p.ctl, p.nodes, p.advance, p.close = env.Coord, env.Coord, liveNodes{env}, eng.Advance, env.Close
+	default:
+		return nil, fmt.Errorf("check: a plane is sim or live, got %s", kind)
+	}
+	front, err := webtier.New(webtier.Config{Coordinator: p.tier, DB: backingFunc(db), Events: p.log})
 	if err != nil {
+		p.close()
 		return nil, err
 	}
-	p.h = h
+	p.front = front
 	return p, nil
 }
 
-func (p *simPlane) Name() string { return "sim" }
-
-func (p *simPlane) Get(key string) Observation {
-	v, src, ok := p.h.Get(key)
-	obs := Observation{Value: string(v), Found: ok}
+// Get runs Algorithm 2 for one key. A key the backing store does not
+// know is Found=false from the database, on either plane; any other
+// failure is a client-visible error.
+func (p *plane) Get(key string) Observation {
+	data, src, err := p.front.Fetch(key)
+	if errors.Is(err, errUnknownKey) {
+		return Observation{Src: SourceDB}
+	}
+	if err != nil {
+		return Observation{Err: err.Error()}
+	}
+	obs := Observation{Value: string(data), Found: true}
 	switch src {
-	case sim.SourceHit:
+	case webtier.SourceNewCache:
 		obs.Src = SourceHit
-	case sim.SourceMigrated:
+	case webtier.SourceOldCache:
 		obs.Src = SourceMigrated
 	default:
 		obs.Src = SourceDB
@@ -149,52 +212,68 @@ func (p *simPlane) Get(key string) Observation {
 	return obs
 }
 
-func (p *simPlane) Set(key, value string) Observation {
-	p.h.Set(key, []byte(value))
+// Set writes value through to every current owner. The backing store
+// has already advanced (the oracle owns it).
+func (p *plane) Set(key, value string) Observation {
+	if p.primaryOnlyWrites {
+		_ = p.tier.Set(p.tier.Epoch().Owner(key, 0), key, []byte(value))
+		return Observation{}
+	}
+	if err := p.front.Update(key, []byte(value)); err != nil {
+		return Observation{Err: err.Error()}
+	}
 	return Observation{}
 }
 
-func (p *simPlane) Scale(n int) Observation { return scaleObservation(p.h.SetActive(n)) }
+// Scale executes SetActive(n).
+func (p *plane) Scale(n int) Observation { return scaleObservation(p.ctl.SetActive(n)) }
 
-func (p *simPlane) Promote(key string) Observation {
-	return Observation{Found: p.h.Promote(key)}
-}
-
-func (p *simPlane) Demote(key string) Observation {
-	return Observation{Found: p.h.Demote(key)}
-}
-
-func (p *simPlane) Crash(server int)     { p.h.Crash(server) }
-func (p *simPlane) Partition(server int) { p.inj.Partition(server) }
-func (p *simPlane) Heal(server int)      { p.inj.Heal(server) }
-func (p *simPlane) Advance(d time.Duration) {
-	p.h.AdvanceClock(d)
-}
-
-func (p *simPlane) State() PlaneState {
-	st := PlaneState{Active: p.h.Active(), Transition: p.h.InTransition()}
-	for i := 0; i < p.h.Servers(); i++ {
-		ns := NodeState{On: p.h.NodeOn(i)}
-		if ns.On {
-			ns.Keys = p.h.ResidentKeys(i)
-		}
-		st.Nodes = append(st.Nodes, ns)
+// State snapshots the observable cluster state for the probes.
+func (p *plane) State() PlaneState {
+	st := PlaneState{Active: p.ctl.Active(), Transition: p.ctl.InTransition()}
+	for i := 0; i < p.nodes.Servers(); i++ {
+		st.Nodes = append(st.Nodes, NodeState{On: p.nodes.NodeOn(i), Keys: p.nodes.ResidentKeys(i)})
 	}
-	st.Digest = func(node int, key string) bool {
-		if !p.h.NodeOn(node) {
-			return false
-		}
-		return p.h.DigestContains(node, key)
-	}
+	st.Digest = p.nodes.DigestContains
 	st.Value = func(node int, key string) (string, bool) {
-		if !p.h.NodeOn(node) {
-			return "", false
-		}
-		v, ok := p.h.NodeValue(node, key)
+		v, ok := p.nodes.NodeValue(node, key)
 		return string(v), ok
 	}
 	return st
 }
 
-func (p *simPlane) Events() *telemetry.EventLog { return p.log }
-func (p *simPlane) Close()                      {}
+// liveNodes inspects the live plane's in-process cache servers. A
+// powered-off node has no server: no keys, an empty digest, no values.
+type liveNodes struct{ env *clustertest.Env }
+
+func (l liveNodes) Servers() int      { return len(l.env.Locals) }
+func (l liveNodes) NodeOn(i int) bool { return l.env.Locals[i].Running() }
+
+func (l liveNodes) ResidentKeys(i int) []string {
+	srv := l.env.Locals[i].Server()
+	if srv == nil {
+		return nil
+	}
+	keys := srv.Cache().Keys() // LRU order; probes want a canonical order
+	sort.Strings(keys)
+	return keys
+}
+
+func (l liveNodes) DigestContains(i int, key string) bool {
+	srv := l.env.Locals[i].Server()
+	return srv != nil && srv.DigestContains(key)
+}
+
+func (l liveNodes) NodeValue(i int, key string) ([]byte, bool) {
+	srv := l.env.Locals[i].Server()
+	if srv == nil {
+		return nil, false
+	}
+	return srv.Cache().Get(key)
+}
+
+func (l liveNodes) Crash(i int) {
+	if i >= 0 && i < len(l.env.Locals) {
+		_ = l.env.Locals[i].PowerOff()
+	}
+}

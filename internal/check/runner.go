@@ -65,9 +65,8 @@ type Options struct {
 	// disables). The explorer adds promote/demote verbs and skews reads
 	// toward a hot candidate set when enabled.
 	HotReplicas int
-	// SeedBugFanout arms the sim harness's UnsafeSkipFanout hook (Set
-	// writes the primary only, stranding stale replica copies); sim
-	// plane only.
+	// SeedBugFanout makes the sim plane's Set write the primary only,
+	// stranding stale replica copies; sim plane only.
 	SeedBugFanout bool
 	// NoShrink skips delta-debugging the history after a violation.
 	NoShrink bool
@@ -120,7 +119,7 @@ type Stats struct {
 // stream.
 type session struct {
 	oracle *Oracle
-	plane  Plane
+	plane  *plane
 	probes []Probe
 	stats  Stats
 }
@@ -130,15 +129,7 @@ func newSession(opt Options, kind PlaneKind) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plane Plane
-	switch kind {
-	case PlaneSim:
-		plane, err = newSimPlane(opt, oracle.DBValue)
-	case PlaneLive:
-		plane, err = newLivePlane(opt, oracle.DBValue)
-	default:
-		err = fmt.Errorf("check: session wants a single plane, got %s", kind)
-	}
+	plane, err := newPlane(kind, opt, oracle.DBValue)
 	if err != nil {
 		return nil, err
 	}
@@ -177,32 +168,32 @@ func (s *session) apply(i int, st Step) (Observation, *Violation) {
 	case StepCrash:
 		s.stats.Crashes++
 		s.oracle.ApplyCrash(st.Server)
-		s.plane.Crash(st.Server)
+		s.plane.nodes.Crash(st.Server)
 	case StepPartition:
 		s.stats.Partitions++
 		s.oracle.ApplyPartition(st.Server)
-		s.plane.Partition(st.Server)
+		s.plane.inj.Partition(st.Server)
 	case StepHeal:
 		s.stats.Heals++
 		s.oracle.ApplyHeal(st.Server)
-		s.plane.Heal(st.Server)
+		s.plane.inj.Heal(st.Server)
 	case StepAdvance:
 		s.stats.Advances++
 		s.oracle.ApplyAdvance(st.Skip)
-		s.plane.Advance(st.Skip)
+		s.plane.advance(st.Skip)
 	case StepPromote:
 		s.stats.Promotes++
 		exp = Observation{Found: s.oracle.ApplyPromote(st.Key)}
-		obs = s.plane.Promote(st.Key)
-		if obs.Err == "" && obs.Found != exp.Found {
+		obs = Observation{Found: s.plane.ctl.Promote(st.Key)}
+		if obs.Found != exp.Found {
 			return obs, &Violation{Probe: "conformance", Step: i, Detail: fmt.Sprintf(
 				"%s: plane promoted=%v, oracle expects %v", st, obs.Found, exp.Found)}
 		}
 	case StepDemote:
 		s.stats.Demotes++
 		exp = Observation{Found: s.oracle.ApplyDemote(st.Key)}
-		obs = s.plane.Demote(st.Key)
-		if obs.Err == "" && obs.Found != exp.Found {
+		obs = Observation{Found: s.plane.ctl.Demote(st.Key)}
+		if obs.Found != exp.Found {
 			return obs, &Violation{Probe: "conformance", Step: i, Detail: fmt.Sprintf(
 				"%s: plane demoted=%v, oracle expects %v", st, obs.Found, exp.Found)}
 		}
@@ -228,7 +219,7 @@ func (s *session) apply(i int, st Step) (Observation, *Violation) {
 
 func (s *session) close() {
 	s.stats.Flips = s.oracle.Flips()
-	s.plane.Close()
+	s.plane.close()
 }
 
 // sessionKinds expands a PlaneKind into the sessions a run needs.
@@ -280,7 +271,7 @@ func applyAll(sessions []*session, i int, st Step) (*Violation, string, []byte) 
 	for j, s := range sessions {
 		o, v := s.apply(i, st)
 		if v != nil {
-			return v, s.plane.Name(), eventsJSON(s.plane)
+			return v, s.plane.name, eventsJSON(s.plane)
 		}
 		obs[j] = o
 	}
@@ -289,8 +280,8 @@ func applyAll(sessions []*session, i int, st Step) (*Violation, string, []byte) 
 		if a.Value != b.Value || a.Src != b.Src || a.Found != b.Found {
 			v := &Violation{Probe: "lockstep", Step: i, Detail: fmt.Sprintf(
 				"%s: planes disagree: %s says (%q, %s, found=%v), %s says (%q, %s, found=%v)",
-				st, sessions[0].plane.Name(), a.Value, a.Src, a.Found,
-				sessions[1].plane.Name(), b.Value, b.Src, b.Found)}
+				st, sessions[0].plane.name, a.Value, a.Src, a.Found,
+				sessions[1].plane.name, b.Value, b.Src, b.Found)}
 			return v, "both", eventsJSON(sessions[0].plane)
 		}
 	}

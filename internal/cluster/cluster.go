@@ -178,51 +178,61 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // fleet is the Coordinator as the machine sees it: power through the
-// Nodes, everything else through the per-node protocol clients.
-type fleet struct{ c *Coordinator }
+// Nodes, everything else through the per-node protocol clients (Get,
+// Set and Delete are the Coordinator's own).
+type fleet struct{ *Coordinator }
 
 func (f fleet) PowerOn(i int) error {
-	if err := f.c.nodes[i].PowerOn(); err != nil {
+	if err := f.nodes[i].PowerOn(); err != nil {
 		return err
 	}
-	f.c.powerOns.Inc()
+	f.powerOns.Inc()
 	return nil
 }
 
 func (f fleet) PowerOff(i int) {
-	_ = f.c.nodes[i].PowerOff() // best-effort, see transition.Fleet
+	_ = f.nodes[i].PowerOff() // best-effort, see transition.Fleet
 	// The pooled connections died with the node. Dropping them here,
 	// and the breaker state with them, lets a regrow dial the
 	// power-cycled node fresh; left in the pool they are found dead one
 	// failed operation at a time, enough of them to open the breaker
 	// against a healthy node.
-	f.c.clients[i].DropIdle()
-	f.c.powerOffs.Inc()
+	f.clients[i].DropIdle()
+	f.powerOffs.Inc()
 }
 
 func (f fleet) Digest(i int) (*bloom.Filter, error) {
-	d, err := f.c.clients[i].FetchDigest()
+	d, err := f.clients[i].FetchDigest()
 	if err != nil {
-		f.c.digestFailures.Inc()
+		f.digestFailures.Inc()
 		return nil, err
 	}
-	f.c.digestSnapshots.Inc()
+	f.digestSnapshots.Inc()
 	return d, nil
 }
 
 func (f fleet) Ping(i int) error {
-	_, err := f.c.clients[i].Version()
+	_, err := f.clients[i].Version()
 	return err
 }
 
-func (f fleet) Get(i int, key string) ([]byte, bool, error) { return f.c.clients[i].Get(key) }
+// Get, Set, Delete, MultiGet and LoadEstimate are node i's protocol
+// client by index — the data operations the web tier runs Algorithm 2
+// over (webtier.CacheTier) and the machine syncs hot replicas with.
+// Values are stored without expiry.
+func (c *Coordinator) Get(i int, key string) ([]byte, bool, error) { return c.clients[i].Get(key) }
 
-func (f fleet) Set(i int, key string, value []byte) error { return f.c.clients[i].Set(key, value, 0) }
-
-func (f fleet) Delete(i int, key string) error {
-	_, err := f.c.clients[i].Delete(key)
-	return err
+func (c *Coordinator) Set(i int, key string, value []byte) error {
+	return c.clients[i].Set(key, value, 0)
 }
+
+func (c *Coordinator) Delete(i int, key string) (bool, error) { return c.clients[i].Delete(key) }
+
+func (c *Coordinator) MultiGet(i int, keys ...string) (map[string][]byte, error) {
+	return c.clients[i].MultiGet(keys...)
+}
+
+func (c *Coordinator) LoadEstimate(i int) float64 { return c.clients[i].LoadEstimate() }
 
 // Epoch returns the current routing state: one atomic load. Request
 // paths load it once and route with the result, so every decision of
@@ -230,16 +240,12 @@ func (f fleet) Delete(i int, key string) error {
 func (c *Coordinator) Epoch() *transition.Epoch { return c.m.Epoch() }
 
 // Placement exposes the shared routing table when the backend is
-// Algorithm 1, and nil for the O(1) backends (route through Route /
-// RouteRing instead).
+// Algorithm 1, and nil for the O(1) backends (route through RouteRing
+// instead).
 func (c *Coordinator) Placement() *core.Placement { return c.m.Geometry().Placement() }
 
 // Backend returns the placement geometry in use.
 func (c *Coordinator) Backend() core.Backend { return c.m.Geometry().Backend() }
-
-// Replicas returns the Section III-E replication factor applied to
-// every key (1 when disabled). Promoted keys go deeper; see RingsFor.
-func (c *Coordinator) Replicas() int { return c.m.Replicas() }
 
 // Active returns the current active-prefix size.
 func (c *Coordinator) Active() int { return c.Epoch().Active }
@@ -249,11 +255,6 @@ func (c *Coordinator) Client(i int) *cacheclient.Client { return c.clients[i] }
 
 // InTransition reports whether a smooth transition is in progress.
 func (c *Coordinator) InTransition() bool { return c.Epoch().Open() }
-
-// Route is RouteRing on the primary ring.
-func (c *Coordinator) Route(key string) (newOwner int, oldOwner int, tryOld bool) {
-	return c.Epoch().Route(key, 0)
-}
 
 // RouteRing is the per-request routing decision on one replication
 // ring; see transition.Epoch.Route.
@@ -265,14 +266,8 @@ func (c *Coordinator) RouteRing(key string, ring int) (newOwner int, oldOwner in
 // the current active-prefix size; see transition.Epoch.Owners.
 func (c *Coordinator) WriteOwners(key string) []int { return c.Epoch().Owners(key) }
 
-// IsHot reports whether the key is currently in the hot set.
-func (c *Coordinator) IsHot(key string) bool { return c.Epoch().IsHot(key) }
-
 // HotKeys returns the hot set, sorted.
 func (c *Coordinator) HotKeys() []string { return c.Epoch().HotKeys() }
-
-// RingsFor returns the replica depth a key resolves at.
-func (c *Coordinator) RingsFor(key string) int { return c.Epoch().RingsFor(key) }
 
 // SetActive executes one provisioning decision: grow or shrink the
 // active prefix to n with a smooth transition. A
@@ -290,9 +285,9 @@ func (c *Coordinator) SetActive(n int) error {
 // FinalizeNow ends a pending transition immediately (tests, shutdown).
 func (c *Coordinator) FinalizeNow() { c.m.FinalizeNow() }
 
-// Promote moves a key into the hot set; see transition.Machine.Promote.
-// The error is always nil: a veto is a false return.
-func (c *Coordinator) Promote(key string) (bool, error) { return c.m.Promote(key), nil }
+// Promote moves a key into the hot set and reports whether it is hot
+// on return (false is a veto); see transition.Machine.Promote.
+func (c *Coordinator) Promote(key string) bool { return c.m.Promote(key) }
 
 // Demote removes a key from the hot set, reporting whether it was hot.
 func (c *Coordinator) Demote(key string) bool { return c.m.Demote(key) }

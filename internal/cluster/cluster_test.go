@@ -71,7 +71,7 @@ func TestRouteStableWithoutTransition(t *testing.T) {
 	coord, _, _ := newTestCluster(t, 4, 3)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
-		owner, _, tryOld := coord.Route(key)
+		owner, _, tryOld := coord.Epoch().Route(key, 0)
 		if tryOld {
 			t.Fatalf("tryOld set outside a transition for %q", key)
 		}
@@ -118,7 +118,7 @@ func TestScaleDownSmoothTransition(t *testing.T) {
 	moved, flagged := 0, 0
 	for _, key := range keys {
 		oldOwner := coord.Placement().Lookup(key, 3)
-		newOwner, gotOld, tryOld := coord.Route(key)
+		newOwner, gotOld, tryOld := coord.Epoch().Route(key, 0)
 		if newOwner != coord.Placement().Lookup(key, 2) {
 			t.Fatalf("Route(%q) new owner wrong", key)
 		}
@@ -171,7 +171,7 @@ func TestScaleUpBootsAndMigrates(t *testing.T) {
 	// owners.
 	flagged := 0
 	for _, key := range keys {
-		newOwner, oldOwner, tryOld := coord.Route(key)
+		newOwner, oldOwner, tryOld := coord.Epoch().Route(key, 0)
 		if newOwner == 2 {
 			if tryOld {
 				flagged++

@@ -45,7 +45,7 @@ func TestTransitionProceedsWithoutDigest(t *testing.T) {
 		if coord.Placement().Lookup(key, 3) != 2 {
 			continue
 		}
-		if _, _, tryOld := coord.Route(key); tryOld {
+		if _, _, tryOld := coord.Epoch().Route(key, 0); tryOld {
 			t.Fatalf("key %s flagged hot despite failed digest fetch", key)
 		}
 	}
@@ -77,8 +77,8 @@ func TestCoordinatorReplication(t *testing.T) {
 		}
 	})
 
-	if coord.Replicas() != 2 {
-		t.Fatalf("Replicas = %d", coord.Replicas())
+	if got := coord.Epoch().RingsFor("any-cold-key"); got != 2 {
+		t.Fatalf("base replica depth = %d, want 2", got)
 	}
 	multi, collided := 0, 0
 	for i := 0; i < 500; i++ {
@@ -97,7 +97,7 @@ func TestCoordinatorReplication(t *testing.T) {
 		}
 		// Ring 0 must agree with Route.
 		r0, _, _ := coord.RouteRing(key, 0)
-		p, _, _ := coord.Route(key)
+		p, _, _ := coord.Epoch().Route(key, 0)
 		if r0 != p {
 			t.Fatalf("ring 0 (%d) disagrees with Route (%d)", r0, p)
 		}

@@ -17,7 +17,7 @@ import (
 // ReplayCritical is the set of packages bound by the determinism
 // contract. Everything that runs under the discrete-event simulator or
 // feeds deterministic placement/replay decisions is listed; the live
-// network plane (cacheserver, cacheclient, cluster, webtier) and the
+// network plane (cacheserver, cacheclient, cluster) and the
 // measurement harness (experiments) are intentionally not, since they
 // own the wall-clock boundary.
 var ReplayCritical = map[string]bool{
@@ -48,8 +48,13 @@ var ReplayCritical = map[string]bool{
 	// the DES reaches it on every flip. The wall clock enters only as
 	// the After the live coordinator injects at its boundary.
 	"proteus/internal/transition": true,
-	"proteus/internal/wiki":       true,
-	"proteus/internal/workload":   true,
+	// webtier is Algorithm 2 as it ships, and the conformance checker
+	// runs it on the DES plane: it reaches servers only through its own
+	// CacheTier interface, which the live coordinator and the simulator
+	// each implement at their boundary.
+	"proteus/internal/webtier":  true,
+	"proteus/internal/wiki":     true,
+	"proteus/internal/workload": true,
 }
 
 // WallClock lists the time package functions that read or schedule

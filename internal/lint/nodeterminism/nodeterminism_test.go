@@ -24,6 +24,7 @@ func TestScope(t *testing.T) {
 		"proteus/internal/cache",
 		"proteus/internal/provision",
 		"proteus/internal/loadgen",
+		"proteus/internal/webtier",
 	} {
 		if !applies(p) {
 			t.Errorf("%s should be replay-critical", p)
@@ -33,7 +34,6 @@ func TestScope(t *testing.T) {
 		"proteus/internal/cacheserver",
 		"proteus/internal/cacheclient",
 		"proteus/internal/cluster",
-		"proteus/internal/webtier",
 		"proteus/internal/experiments",
 		"proteus/cmd/proteusd",
 	} {
@@ -46,13 +46,10 @@ func TestScope(t *testing.T) {
 // A replay-critical package may import only replay-critical packages
 // of this module: a type or helper from outside the contract is how
 // wall-clock code gets within reach of the simulator. The one
-// exception is the conformance checker's live plane, which drives the
-// real stack on purpose (and carries lint:allow directives for it).
+// exception is the conformance checker's live plane, which builds the
+// real cluster on purpose (and carries a lint:allow directive for it).
 func TestReplayCriticalImportClosure(t *testing.T) {
-	livePlane := map[string]bool{
-		"proteus/internal/testutil/clustertest": true,
-		"proteus/internal/webtier":              true,
-	}
+	const livePlane = "proteus/internal/testutil/clustertest"
 	for path := range nodeterminism.ReplayCritical {
 		pkg, err := build.ImportDir("../../../"+strings.TrimPrefix(path, "proteus/"), 0)
 		if err != nil {
@@ -62,7 +59,7 @@ func TestReplayCriticalImportClosure(t *testing.T) {
 			if !strings.HasPrefix(imp, "proteus/") || nodeterminism.ReplayCritical[imp] {
 				continue
 			}
-			if path == "proteus/internal/check" && livePlane[imp] {
+			if path == "proteus/internal/check" && imp == livePlane {
 				continue
 			}
 			t.Errorf("replay-critical %s imports %s, which is outside the determinism contract", path, imp)

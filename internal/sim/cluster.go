@@ -146,19 +146,44 @@ func (f *fleet) Ping(i int) error {
 	return nil
 }
 
+// Get, Set, Delete and MultiGet are one server's store by index. An off
+// or partitioned server answers errUnreachable, exactly as a live
+// protocol client does; the machine's hot-set sync and the web tier's
+// Algorithm 2 (through Tier) both degrade on it.
 func (f *fleet) Get(i int, key string) ([]byte, bool, error) {
+	if !f.reachable(i) {
+		return nil, false, errUnreachable
+	}
 	v, ok := f.nodes[i].store.Get(key)
 	return v, ok, nil
 }
 
 func (f *fleet) Set(i int, key string, value []byte) error {
+	if !f.reachable(i) {
+		return errUnreachable
+	}
 	f.nodes[i].store.Set(key, value, 0)
 	return nil
 }
 
-func (f *fleet) Delete(i int, key string) error {
-	f.nodes[i].store.Delete(key)
-	return nil
+func (f *fleet) Delete(i int, key string) (bool, error) {
+	if !f.reachable(i) {
+		return false, errUnreachable
+	}
+	return f.nodes[i].store.Delete(key), nil
+}
+
+func (f *fleet) MultiGet(i int, keys ...string) (map[string][]byte, error) {
+	if !f.reachable(i) {
+		return nil, errUnreachable
+	}
+	got := make(map[string][]byte, len(keys))
+	for _, k := range keys {
+		if v, ok := f.nodes[i].store.Get(k); ok {
+			got[k] = v
+		}
+	}
+	return got, nil
 }
 
 // dbModel is the database tier in virtual time: per-shard bounded

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 	"proteus/internal/transition"
 )
 
-// Harness is the DES execution plane of the conformance checker
+// Harness is the DES cluster of the conformance checker
 // (internal/check): the same substrate the figure-replay runner uses —
 // Engine virtual clock, cache.Cache stores with counting-filter
 // digests, the shared Section IV machine (internal/transition) — but
@@ -23,20 +22,19 @@ import (
 // explorer can interleave client ops, transitions, faults, and clock
 // skips arbitrarily and replay them byte-for-byte.
 //
-// Transitions and the hot set run the code the live coordinator runs.
-// What is the harness's own is the request path: Get is Algorithm 2 as
-// webtier.Frontend.fetch runs it (try the new owners, consult the old
-// owner's digest during a transition, fall back to the backing store
-// and write through), over in-memory stores instead of sockets.
+// It is engine + nodes + machine + node inspection and has no request
+// path: the checker runs webtier.Frontend — the Algorithm 2 that ships —
+// over Tier, so transitions, the hot set and requests all run the code
+// the live stack runs, over in-memory stores instead of sockets.
 type Harness struct {
-	cfg   HarnessConfig
-	eng   *Engine
-	m     *transition.Machine
-	fleet *fleet
+	earlyPowerOff bool
+	eng           *Engine
+	m             *transition.Machine
+	fleet         *fleet
 }
 
-// HarnessConfig configures a Harness. Servers, InitialActive, TTL, and
-// DB are required.
+// HarnessConfig configures a Harness. Servers, InitialActive and TTL
+// are required.
 type HarnessConfig struct {
 	// Servers is the provisioning-order length.
 	Servers int
@@ -46,9 +44,6 @@ type HarnessConfig struct {
 	TTL time.Duration
 	// DigestParams sizes each node's counting filter.
 	DigestParams bloom.Params
-	// DB resolves a key in the backing store. It must be deterministic
-	// for replay; the conformance oracle passes its own versioned map.
-	DB func(key string) ([]byte, bool)
 	// Faults, when set, is consulted for partitions exactly where the
 	// live plane consults it (per-operation Decide, digest snapshots,
 	// TransitionStarted). Conformance runs use rule-free injectors —
@@ -71,11 +66,6 @@ type HarnessConfig struct {
 	// Promote resolve at this replica depth over seeded rings sharing
 	// the primary placement (0 or 1 disables).
 	HotReplicas int
-	// UnsafeSkipFanout is a conformance-test hook: Set writes the
-	// primary owner only, leaving a hot key's replicas holding stale
-	// copies — the write-fan-out bug the replica invariant forbids.
-	// Production configurations never set it.
-	UnsafeSkipFanout bool
 	// Backend selects the placement geometry (empty = Algorithm 1); the
 	// live plane must be built with the same kind.
 	Backend core.BackendKind
@@ -83,13 +73,10 @@ type HarnessConfig struct {
 
 // NewHarness builds a harness with the initial prefix powered on.
 func NewHarness(cfg HarnessConfig) (*Harness, error) {
-	if cfg.DB == nil {
-		return nil, fmt.Errorf("sim: harness DB resolver required")
-	}
 	h := &Harness{
-		cfg:   cfg,
-		eng:   NewEngine(),
-		fleet: &fleet{faults: cfg.Faults},
+		earlyPowerOff: cfg.UnsafeEarlyPowerOff,
+		eng:           NewEngine(),
+		fleet:         &fleet{faults: cfg.Faults},
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		// Unlimited capacity and no per-item TTL: conformance runs
@@ -134,103 +121,57 @@ func (h *Harness) NodeOn(i int) bool { return h.fleet.nodes[i].state == nodeOn }
 // InTransition reports whether a smooth-transition window is open.
 func (h *Harness) InTransition() bool { return h.m.Epoch().Open() }
 
-// ResidentKeys returns server i's cached keys, sorted.
+// ResidentKeys returns server i's cached keys, sorted; nil when off.
 func (h *Harness) ResidentKeys(i int) []string {
+	if !h.NodeOn(i) {
+		return nil
+	}
 	keys := h.fleet.nodes[i].store.Keys()
 	sort.Strings(keys)
 	return keys
 }
 
-// DigestContains probes server i's live counting filter.
+// DigestContains probes server i's live counting filter; false when
+// off.
 func (h *Harness) DigestContains(i int, key string) bool {
-	return h.fleet.nodes[i].digest.Contains(key)
+	return h.NodeOn(i) && h.fleet.nodes[i].digest.Contains(key)
 }
 
 // NodeValue reads server i's stored value for key directly (probe
-// support; no routing, no migration).
+// support; no routing, no migration); false when off.
 func (h *Harness) NodeValue(i int, key string) ([]byte, bool) {
+	if !h.NodeOn(i) {
+		return nil, false
+	}
 	return h.fleet.nodes[i].store.Get(key)
 }
 
-// Get runs Algorithm 2 for one key under one routing epoch, as
-// webtier.Frontend.fetch does, in three phases: probe the key's
-// distinct current owners (primary first — the live tier orders by
-// load, but the replica invariant makes the answer order-independent);
-// during a transition consult each ring's old-owner digest and migrate
-// on demand; otherwise fall back to the backing store and write through
-// to every owner. ok is false only when the backing store does not know
-// the key.
-func (h *Harness) Get(key string) (value []byte, src RequestSource, ok bool) {
-	ep := h.m.Epoch()
-	nodes := h.fleet.nodes
-	for _, o := range ep.Owners(key) {
-		if h.fleet.reachable(o) {
-			if v, hit := nodes[o].store.Get(key); hit {
-				return v, SourceHit, true
-			}
-		}
-	}
-	// Digest consult (Algorithm 2 lines 6-8), ring by ring. The
-	// snapshot digests are immutable; a consult against an unreachable
-	// old owner degrades to the database, exactly like the live tier's
-	// error path.
-	consulted := make([]int, 0, 4)
-	for ring, rings := 0, ep.RingsFor(key); ring < rings; ring++ {
-		owner, old, tryOld := ep.Route(key, ring)
-		if !tryOld || slices.Contains(consulted, old) {
-			continue
-		}
-		consulted = append(consulted, old)
-		if !h.fleet.reachable(old) {
-			continue
-		}
-		if v, hit := nodes[old].store.Get(key); hit {
-			h.cfg.Events.Record(telemetry.Event{Kind: telemetry.EventMigrationHit, Node: old})
-			// Amortized migration: install on the ring's new owner so
-			// the next request hits there. An unreachable new owner
-			// leaves the key un-migrated, never wrong.
-			if h.fleet.reachable(owner) {
-				nodes[owner].store.Set(key, v, 0)
-			}
-			return v, SourceMigrated, true
-		}
-		h.cfg.Events.Record(telemetry.Event{Kind: telemetry.EventMigrationMiss, Node: old})
-	}
-	data, found := h.cfg.DB(key)
-	if !found {
-		return nil, SourceDB, false
-	}
-	h.fanoutWrite(key, data)
-	return data, SourceDB, true
+// Tier is the harness's servers as a front end sees them
+// (webtier.CacheTier): routing epochs and the fan-out rule from the
+// machine, data operations from the fleet by node index.
+type Tier struct {
+	*fleet
+	m *transition.Machine
 }
 
-// Set installs a new value write-through, as webtier.Update does for
-// whole objects: every distinct owner gets the value; an unreachable
-// owner stays cold, not wrong. The backing store is the caller's (the
-// oracle updates its versioned map before calling). With the
-// UnsafeSkipFanout hook the write lands on the primary only — the
-// fan-out bug the write-fanout probe exists to catch.
-func (h *Harness) Set(key string, value []byte) {
-	if h.cfg.UnsafeSkipFanout {
-		if owner := h.m.Epoch().Owner(key, 0); h.fleet.reachable(owner) {
-			h.fleet.nodes[owner].store.Set(key, value, 0)
-		}
-		return
-	}
-	h.fanoutWrite(key, value)
+// Tier returns the cache tier a webtier.Frontend runs over.
+func (h *Harness) Tier() Tier { return Tier{h.fleet, h.m} }
+
+// Epoch returns the machine's current routing state.
+func (t Tier) Epoch() *transition.Epoch { return t.m.Epoch() }
+
+// Fanout is transition.Machine.Fanout.
+func (t Tier) Fanout(e *transition.Epoch, key string, write func(owner int) bool) {
+	t.m.Fanout(e, key, write)
 }
 
-// fanoutWrite stores one key on every reachable distinct owner; the
-// machine demotes a hot key that missed a copy.
-func (h *Harness) fanoutWrite(key string, value []byte) {
-	h.m.Fanout(h.m.Epoch(), key, func(o int) bool {
-		if !h.fleet.reachable(o) {
-			return false
-		}
-		h.fleet.nodes[o].store.Set(key, value, 0)
-		return true
-	})
-}
+// ObserveGet does nothing: the schedule drives the hot set by verb.
+func (Tier) ObserveGet(string) {}
+
+// LoadEstimate is always 0: with no load signal a hot key's owners are
+// probed in ring order, which the replica invariant makes
+// answer-equivalent to the live tier's least-loaded-first.
+func (Tier) LoadEstimate(int) float64 { return 0 }
 
 // Promote moves a key into the hot set; see transition.Machine.Promote.
 func (h *Harness) Promote(key string) bool { return h.m.Promote(key) }
@@ -252,7 +193,7 @@ func (h *Harness) Crash(server int) {
 // unreachable relocation source.
 func (h *Harness) SetActive(n int) error {
 	flipped, err := h.m.SetActive(n)
-	if flipped && h.cfg.UnsafeEarlyPowerOff && h.m.Epoch().Draining() {
+	if flipped && h.earlyPowerOff && h.m.Epoch().Draining() {
 		// Conformance-test hook: the premature power-off bug.
 		h.m.FinalizeNow()
 	}

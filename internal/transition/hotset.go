@@ -124,7 +124,7 @@ func (m *Machine) syncReplicas(key string) bool {
 		if found {
 			err = m.fleet.Set(o, key, val)
 		} else {
-			err = m.fleet.Delete(o, key)
+			_, err = m.fleet.Delete(o, key)
 		}
 		if err != nil {
 			return false

@@ -48,10 +48,11 @@ type Fleet interface {
 	// Ping reports whether the server answers.
 	Ping(node int) error
 	// Get, Set and Delete act on one server's store directly (no
-	// routing); the hot-set sync copies the primary's state with them.
+	// routing); the hot-set sync copies the primary's state with them,
+	// and the web tier runs Algorithm 2 over the same three.
 	Get(node int, key string) (value []byte, found bool, err error)
 	Set(node int, key string, value []byte) error
-	Delete(node int, key string) error
+	Delete(node int, key string) (existed bool, err error)
 }
 
 // Config configures a Machine. Fleet, Nodes, InitialActive, TTL and
@@ -354,7 +355,3 @@ func (m *Machine) Close() {
 
 // Geometry returns the placement shared by every ring.
 func (m *Machine) Geometry() *core.Replicated { return m.epoch.Load().geo }
-
-// Replicas returns the Section III-E depth every key is stored at (1
-// when replication is disabled).
-func (m *Machine) Replicas() int { return m.epoch.Load().baseRings }

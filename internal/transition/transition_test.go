@@ -103,15 +103,16 @@ func (f *fakeFleet) Set(i int, key string, value []byte) error {
 	return nil
 }
 
-func (f *fakeFleet) Delete(i int, key string) error {
+func (f *fakeFleet) Delete(i int, key string) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.reach(i); err != nil {
-		return err
+		return false, err
 	}
 	f.writes++
+	_, existed := f.stores[i][key]
 	delete(f.stores[i], key)
-	return nil
+	return existed, nil
 }
 
 func (f *fakeFleet) setDown(i int, down bool) {

@@ -52,7 +52,7 @@ func TestChunkedPiecesSpreadAcrossServers(t *testing.T) {
 		m, pieces := chunk.Split(e.corpus.Page(i), 2048)
 		owners := map[int]bool{}
 		for p := 0; p < m.Pieces(); p++ {
-			owner, _, _ := e.coord.Route(chunk.PieceKey(key, p))
+			owner, _, _ := e.coord.Epoch().Route(chunk.PieceKey(key, p), 0)
 			owners[owner] = true
 			// Each piece must be resident on its own owner.
 			if !e.locals[owner].Server().Cache().Contains(chunk.PieceKey(key, p)) {
@@ -78,7 +78,7 @@ func TestChunkedPieceLossRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pieceKey := chunk.PieceKey(key, 1)
-	owner, _, _ := e.coord.Route(pieceKey)
+	owner, _, _ := e.coord.Epoch().Route(pieceKey, 0)
 	if deleted, err := e.coord.Client(owner).Delete(pieceKey); err != nil || !deleted {
 		t.Fatalf("delete piece: %v %v", deleted, err)
 	}
@@ -141,7 +141,7 @@ func TestChunkedSmallValuesStoredWhole(t *testing.T) {
 	if _, _, err := e.front.Fetch(key); err != nil {
 		t.Fatal(err)
 	}
-	owner, _, _ := e.coord.Route(key)
+	owner, _, _ := e.coord.Epoch().Route(key, 0)
 	raw, ok := e.locals[owner].Server().Cache().Peek(key)
 	if !ok {
 		t.Fatal("value not resident")

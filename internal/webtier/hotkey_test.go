@@ -22,7 +22,7 @@ func hotCandidate(t *testing.T, e *env) (key string, owners []int) {
 	t.Helper()
 	for i := 0; i < e.corpus.Pages(); i++ {
 		k := e.corpus.Key(i)
-		if e.coord.IsHot(k) {
+		if e.coord.Epoch().IsHot(k) {
 			continue
 		}
 		a, _, _ := e.coord.RouteRing(k, 0)
@@ -45,12 +45,11 @@ func TestHotKeyPromotionReplicatesAndSurvivesCrash(t *testing.T) {
 	if _, _, err := e.front.Fetch(key); err != nil { // db fill on the primary
 		t.Fatal(err)
 	}
-	hot, err := e.coord.Promote(key)
-	if err != nil || !hot {
-		t.Fatalf("promote: hot=%v err=%v", hot, err)
+	if !e.coord.Promote(key) {
+		t.Fatal("promote vetoed on a healthy cluster")
 	}
-	if e.coord.RingsFor(key) != 2 {
-		t.Fatalf("hot key resolves at depth %d, want 2", e.coord.RingsFor(key))
+	if e.coord.Epoch().RingsFor(key) != 2 {
+		t.Fatalf("hot key resolves at depth %d, want 2", e.coord.Epoch().RingsFor(key))
 	}
 	for _, o := range owners {
 		if !e.locals[o].Server().Cache().Contains(key) {
@@ -96,8 +95,8 @@ func TestHotKeyWriteFailureAutoDemotes(t *testing.T) {
 	if _, _, err := e.front.Fetch(key); err != nil {
 		t.Fatal(err)
 	}
-	if hot, err := e.coord.Promote(key); err != nil || !hot {
-		t.Fatalf("promote: hot=%v err=%v", hot, err)
+	if !e.coord.Promote(key) {
+		t.Fatal("promote vetoed on a healthy cluster")
 	}
 	if err := e.locals[owners[1]].PowerOff(); err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestHotKeyWriteFailureAutoDemotes(t *testing.T) {
 	if err := e.front.Update(key, []byte("post-crash value")); err != nil {
 		t.Fatal(err)
 	}
-	if e.coord.IsHot(key) {
+	if e.coord.Epoch().IsHot(key) {
 		t.Fatal("key still hot after a failed fan-out write")
 	}
 	// Routing is back to the single healthy primary.
@@ -134,7 +133,7 @@ func TestOnlineTrackerPromotesHotKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !e.coord.IsHot(key) {
+	if !e.coord.Epoch().IsHot(key) {
 		t.Fatalf("tracker never promoted the dominant key (hot set %v)", e.coord.HotKeys())
 	}
 	for _, o := range owners {

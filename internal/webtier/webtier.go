@@ -1,10 +1,13 @@
 // Package webtier is the web-server tier of the paper's Fig. 1: it
 // terminates user requests, routes data keys to cache servers through
 // the cluster coordinator's deterministic placement, and implements
-// Algorithm 2 (data retrieval) against live memcached-protocol servers
-// — try the new owner, consult the old owner's digest during a
-// transition, fall back to the database, and write through so only the
-// first request for a hot key pays the migration cost.
+// Algorithm 2 (data retrieval) against a CacheTier — try the new owner,
+// consult the old owner's digest during a transition, fall back to the
+// database, and write through so only the first request for a hot key
+// pays the migration cost. The tier is memcached-protocol servers
+// behind cluster.Coordinator in production and the simulator's
+// in-memory fleet under the conformance checker; this is the only
+// untimed Algorithm 2 in the tree, and the package is replay-critical.
 package webtier
 
 import (
@@ -19,7 +22,6 @@ import (
 	"strings"
 
 	"proteus/internal/chunk"
-	"proteus/internal/cluster"
 	"proteus/internal/telemetry"
 	"proteus/internal/transition"
 )
@@ -27,6 +29,31 @@ import (
 // Backing is the database tier interface (satisfied by *database.DB).
 type Backing interface {
 	Get(key string) ([]byte, error)
+}
+
+// CacheTier is what the front end needs from the cache tier: the
+// current routing epoch, the write fan-out rule, the hot-key feed, and
+// the data operations of one server addressed by its index in the
+// provisioning order. An error from a data operation means "unreachable
+// right now" and degrades that step; it never fails a request.
+// *cluster.Coordinator satisfies it over protocol clients, sim.Tier
+// over in-memory stores.
+type CacheTier interface {
+	// Epoch returns the current routing state; a request loads it once.
+	Epoch() *transition.Epoch
+	// Fanout applies write to every distinct owner of key under e and
+	// demotes a hot key that missed a copy (transition.Machine.Fanout).
+	Fanout(e *transition.Epoch, key string, write func(owner int) bool)
+	// ObserveGet feeds one read into online hot-key detection, if any.
+	ObserveGet(key string)
+	Get(node int, key string) (value []byte, found bool, err error)
+	// Set stores without expiry.
+	Set(node int, key string, value []byte) error
+	Delete(node int, key string) (existed bool, err error)
+	MultiGet(node int, keys ...string) (map[string][]byte, error)
+	// LoadEstimate scores the server's current load for replica choice;
+	// lower is idler.
+	LoadEstimate(node int) float64
 }
 
 // Source reports where a fetch was satisfied.
@@ -76,13 +103,11 @@ type Stats struct {
 
 // Config configures a Frontend.
 type Config struct {
-	// Coordinator supplies routing and per-node clients (required).
-	Coordinator *cluster.Coordinator
+	// Coordinator supplies routing and per-node data operations
+	// (required); in production a *cluster.Coordinator.
+	Coordinator CacheTier
 	// DB is the backing store (required).
 	DB Backing
-	// CacheExpiry is the exptime (seconds) for write-through sets;
-	// 0 stores without expiry.
-	CacheExpiry int64
 	// PieceSize enables the paper's fixed-size-piece model: values
 	// longer than this are split into PieceSize-byte pieces, each
 	// cached under its own key (and therefore on its own server), with
@@ -103,9 +128,8 @@ type Config struct {
 
 // Frontend answers data requests. It is safe for concurrent use.
 type Frontend struct {
-	coord     *cluster.Coordinator
+	coord     CacheTier
 	db        Backing
-	expiry    int64
 	pieceSize int
 
 	// Outcome counters, one series per kind of the
@@ -141,7 +165,6 @@ func New(cfg Config) (*Frontend, error) {
 	f := &Frontend{
 		coord:     cfg.Coordinator,
 		db:        cfg.DB,
-		expiry:    cfg.CacheExpiry,
 		pieceSize: cfg.PieceSize,
 		tracer:    cfg.Tracer,
 		events:    cfg.Events,
@@ -209,7 +232,7 @@ func (f *Frontend) fetch(key string) ([]byte, Source, error) {
 		// here only after that flight completed — and its write-through
 		// with it — so one probe of the primary keeps the whole
 		// stampede at a single database query.
-		if raw, ok, err := f.coord.Client(ep.Owner(key, 0)).Get(key); err == nil && ok {
+		if raw, ok, err := f.coord.Get(ep.Owner(key, 0), key); err == nil && ok {
 			if f.pieceSize == 0 || !chunk.IsManifest(raw) {
 				return raw, nil
 			}
@@ -259,7 +282,7 @@ func (f *Frontend) cacheFetch(ep *transition.Epoch, key string) ([]byte, Source,
 		owners = f.orderByLoad(owners)
 	}
 	for _, owner := range owners {
-		if data, ok, err := f.coord.Client(owner).Get(key); err == nil && ok {
+		if data, ok, err := f.coord.Get(owner, key); err == nil && ok {
 			f.hits.Inc()
 			if owner != primary {
 				f.replicaHits.Inc()
@@ -279,7 +302,7 @@ func (f *Frontend) cacheFetch(ep *transition.Epoch, key string) ([]byte, Source,
 			continue
 		}
 		consulted = append(consulted, oldOwner)
-		data, ok, err := f.coord.Client(oldOwner).Get(key)
+		data, ok, err := f.coord.Get(oldOwner, key)
 		if err != nil {
 			// Faulted old owner: fall through to the DB path rather
 			// than surfacing the error (the digest may even have been
@@ -297,7 +320,7 @@ func (f *Frontend) cacheFetch(ep *transition.Epoch, key string) ([]byte, Source,
 		// Line 12: amortized migration — install on the new owner so
 		// every subsequent request hits there. A failed install just
 		// means the next request migrates again.
-		if err := f.coord.Client(newOwner).Set(key, data, f.expiry); err != nil {
+		if err := f.coord.Set(newOwner, key, data); err != nil {
 			f.cacheErrs.Inc()
 		}
 		return data, SourceOldCache, true
@@ -316,7 +339,7 @@ func (f *Frontend) orderByLoad(owners []int) []int {
 	}
 	scores := make([]float64, len(owners))
 	for i, o := range owners {
-		scores[i] = f.coord.Client(o).LoadEstimate()
+		scores[i] = f.coord.LoadEstimate(o)
 	}
 	order := make([]int, len(owners))
 	for i := range order {
@@ -351,12 +374,19 @@ func (f *Frontend) gatherPieces(ep *transition.Epoch, key string, rawManifest []
 		owner := ep.Owner(pieceKeys[i], 0)
 		groups[owner] = append(groups[owner], i)
 	}
-	for owner, idx := range groups {
+	// Owners lie inside the active prefix; visiting them by index, not
+	// in map order, sends the batches out in the same order on every
+	// run, so a count-based fault rule hits the same exchange on replay.
+	for owner := 0; owner < ep.Active; owner++ {
+		idx := groups[owner]
+		if len(idx) == 0 {
+			continue
+		}
 		keys := make([]string, len(idx))
 		for j, i := range idx {
 			keys[j] = pieceKeys[i]
 		}
-		got, err := f.coord.Client(owner).MultiGet(keys...)
+		got, err := f.coord.MultiGet(owner, keys...)
 		if err != nil {
 			// Faulted owner: every piece in this group falls back below.
 			f.cacheErrs.Inc()
@@ -422,8 +452,12 @@ func (f *Frontend) FetchMany(keys ...string) (map[string][]byte, error) {
 		groups[owner] = append(groups[owner], k)
 	}
 	batched := make(map[string][]byte, len(order))
-	for owner, ks := range groups {
-		got, err := f.coord.Client(owner).MultiGet(ks...)
+	for owner := 0; owner < ep.Active; owner++ { // ascending, not map order; see gatherPieces
+		ks := groups[owner]
+		if len(ks) == 0 {
+			continue
+		}
+		got, err := f.coord.MultiGet(owner, ks...)
 		if err != nil {
 			f.cacheErrs.Inc() // whole group degrades to the per-key path
 			continue
@@ -481,7 +515,7 @@ func (f *Frontend) writeThrough(ep *transition.Epoch, key string, data []byte) {
 // copy is demoted by the fan-out rule (transition.Machine.Fanout).
 func (f *Frontend) storeAll(ep *transition.Epoch, key string, data []byte) {
 	f.coord.Fanout(ep, key, func(owner int) bool {
-		if err := f.coord.Client(owner).Set(key, data, f.expiry); err != nil {
+		if err := f.coord.Set(owner, key, data); err != nil {
 			f.cacheErrs.Inc()
 			return false
 		}

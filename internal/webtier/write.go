@@ -72,7 +72,7 @@ func (f *Frontend) Invalidate(key string) (bool, error) {
 func (f *Frontend) deleteAll(ep *transition.Epoch, key string) bool {
 	removed := false
 	f.coord.Fanout(ep, key, func(owner int) bool {
-		deleted, err := f.coord.Client(owner).Delete(key)
+		deleted, err := f.coord.Delete(owner, key)
 		if err != nil {
 			f.cacheErrs.Add(1)
 			return false

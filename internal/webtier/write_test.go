@@ -77,7 +77,7 @@ func TestUpdateShrinksChunkedValue(t *testing.T) {
 	// Old pieces must be gone from their owners.
 	for i := 0; i < m.Pieces(); i++ {
 		pk := chunk.PieceKey(key, i)
-		owner, _, _ := e.coord.Route(pk)
+		owner, _, _ := e.coord.Epoch().Route(pk, 0)
 		if e.locals[owner].Server().Cache().Contains(pk) {
 			t.Fatalf("orphan piece %d survived the shrink", i)
 		}
@@ -110,7 +110,7 @@ func TestInvalidateChunkedRemovesPieces(t *testing.T) {
 	m, _ := chunk.Split(e.corpus.Page(5), 2048)
 	for i := 0; i < m.Pieces(); i++ {
 		pk := chunk.PieceKey(key, i)
-		owner, _, _ := e.coord.Route(pk)
+		owner, _, _ := e.coord.Epoch().Route(pk, 0)
 		if e.locals[owner].Server().Cache().Contains(pk) {
 			t.Fatalf("piece %d survived invalidation", i)
 		}
