@@ -42,7 +42,7 @@ bench-smoke:
 allocs-check:
 	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto ./internal/cacheclient ./internal/sim \
 		./internal/cache ./internal/bloom ./internal/workload ./internal/hotkey ./internal/provision \
-		./internal/metrics ./internal/hashring ./internal/core
+		./internal/metrics ./internal/core
 
 # Conformance smoke: the model-based checker (internal/check) over a
 # fixed seed set on both execution planes, under the race detector,

@@ -38,10 +38,18 @@ const (
 	// BackendJump is Lamping-Veach jump consistent hash: O(1) memory,
 	// O(log n) expected routing; the classic baseline.
 	BackendJump BackendKind = "jump"
+	// BackendModulo is hash-modulo routing, the paper's Naive baseline
+	// (baseline.go). Not monotone; ParseBackend rejects it.
+	BackendModulo BackendKind = "modulo"
+	// BackendConsistent is random-virtual-node consistent hashing with
+	// n²/2 nodes, the paper's Consistent baseline (baseline.go).
+	// Monotone but not balanced; ParseBackend rejects it.
+	BackendConsistent BackendKind = "consistent"
 )
 
 // ParseBackend maps a flag value to a BackendKind. The empty string
-// selects BackendProteus.
+// selects BackendProteus. The Table II baselines are not selectable:
+// they exist for the simulator's comparison scenarios.
 func ParseBackend(s string) (BackendKind, error) {
 	switch s {
 	case "", string(BackendProteus):
@@ -78,8 +86,9 @@ type Backend interface {
 	LookupSeeded(key string, seed uint64, active int) int
 }
 
-// NewBackend constructs the named backend for a fleet of n servers.
-// An empty kind selects BackendProteus.
+// NewBackend constructs the named backend for a fleet of n servers,
+// the Table II baselines included. An empty kind selects
+// BackendProteus.
 func NewBackend(kind BackendKind, n int) (Backend, error) {
 	switch kind {
 	case "", BackendProteus:
@@ -88,8 +97,12 @@ func NewBackend(kind BackendKind, n int) (Backend, error) {
 		return NewPCH(n)
 	case BackendJump:
 		return NewJump(n)
+	case BackendModulo:
+		return NewModulo(n)
+	case BackendConsistent:
+		return NewConsistentHalfSquare(n)
 	default:
-		return nil, fmt.Errorf("core: unknown placement backend %q (want proteus, pch or jump)", kind)
+		return nil, fmt.Errorf("core: unknown placement backend %q (want proteus, pch, jump, modulo or consistent)", kind)
 	}
 }
 
@@ -108,3 +121,5 @@ func (p *Placement) LookupSeeded(key string, seed uint64, active int) int {
 var _ Backend = (*Placement)(nil)
 var _ Backend = (*PCH)(nil)
 var _ Backend = (*Jump)(nil)
+var _ Backend = (*Modulo)(nil)
+var _ Backend = (*Consistent)(nil)

@@ -12,18 +12,23 @@ import "testing"
 //   - active counts past the provisioning order clamp to the full
 //     order rather than inventing servers.
 //
-// Algorithm 1's fleet size is capped lower than the O(1) backends'
-// because its construction is quadratic in the order length.
+// The Table II baselines are driven too. Algorithm 1's fleet size is
+// capped lower than the O(1) backends' because its construction is
+// quadratic in the order length, and the consistent ring's because it
+// holds n²/2 virtual nodes.
 func FuzzRouteStability(f *testing.F) {
 	f.Add("k001", uint16(40), uint16(3), uint64(0))
 	f.Add("", uint16(1), uint16(1), uint64(1))
 	f.Add("page/Main_Page", uint16(1023), uint16(600), uint64(0x9e3779b97f4a7c15))
 	f.Add("\x00\xff\x80", uint16(64), uint16(64), uint64(7))
 	f.Fuzz(func(t *testing.T, key string, n, active uint16, seed uint64) {
-		for _, kind := range backendKinds {
+		for _, kind := range allKinds {
 			max := 1024
-			if kind == BackendProteus {
+			switch kind {
+			case BackendProteus:
 				max = 48
+			case BackendConsistent:
+				max = 128
 			}
 			servers := int(n)%max + 1
 			act := int(active)%servers + 1

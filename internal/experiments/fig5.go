@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"proteus/internal/core"
-	"proteus/internal/hashring"
 	"proteus/internal/metrics"
 	"proteus/internal/sim"
 	"proteus/internal/workload"
@@ -79,20 +78,24 @@ func fig5Replay(scale Scale, source func(emit func(workload.Event) bool) error) 
 	if err != nil {
 		return nil, err
 	}
-	logn, err := hashring.NewConsistentLogN(servers)
+	modulo, err := core.NewModulo(servers)
 	if err != nil {
 		return nil, err
 	}
-	n22, err := hashring.NewConsistentHalfSquare(servers)
+	logn, err := core.NewConsistentLogN(servers)
 	if err != nil {
 		return nil, err
 	}
-	routers := map[string]hashring.Router{
-		SchemeStatic:         hashring.Naive{},
-		SchemeNaive:          hashring.Naive{},
+	n22, err := core.NewConsistentHalfSquare(servers)
+	if err != nil {
+		return nil, err
+	}
+	routers := map[string]core.Backend{
+		SchemeStatic:         modulo,
+		SchemeNaive:          modulo,
 		SchemeConsistentLogN: logn,
 		SchemeConsistentN2:   n22,
-		SchemeProteus:        hashring.Adapter{Placement: placement},
+		SchemeProteus:        placement,
 	}
 
 	loads := make(map[string]*metrics.LoadSeries, len(routers))
@@ -111,7 +114,7 @@ func fig5Replay(scale Scale, source func(emit func(workload.Event) bool) error) 
 			if scheme == SchemeStatic {
 				n = servers
 			}
-			loads[scheme].Observe(e.At, router.Route(e.Key, n))
+			loads[scheme].Observe(e.At, router.Lookup(e.Key, n))
 		}
 		return true
 	})

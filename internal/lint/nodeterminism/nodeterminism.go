@@ -25,12 +25,12 @@ var ReplayCritical = map[string]bool{
 	"proteus/internal/cache": true,
 	"proteus/internal/check": true,
 	"proteus/internal/chunk": true,
-	// core covers every placement backend (Algorithm 1, pch, jump):
-	// routing must replay bit-identically or check artifacts rot.
+	// core covers every placement backend (Algorithm 1, pch, jump and
+	// the Table II baselines): routing must replay bit-identically or
+	// check artifacts rot.
 	"proteus/internal/core":        true,
 	"proteus/internal/database":    true,
 	"proteus/internal/faultinject": true,
-	"proteus/internal/hashring":    true,
 	"proteus/internal/hotkey":      true,
 	// loadgen schedules arrivals before a run; the schedule must be a
 	// pure function of (seed, spec), or the open-loop generator's

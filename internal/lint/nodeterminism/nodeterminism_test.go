@@ -19,7 +19,6 @@ func TestScope(t *testing.T) {
 		"proteus/internal/sim",
 		"proteus/internal/faultinject",
 		"proteus/internal/core",
-		"proteus/internal/hashring",
 		"proteus/internal/database",
 		"proteus/internal/cache",
 		"proteus/internal/provision",

@@ -6,7 +6,6 @@ import (
 
 	"proteus/internal/core"
 	"proteus/internal/faultinject"
-	"proteus/internal/hashring"
 	"proteus/internal/metrics"
 	"proteus/internal/power"
 	"proteus/internal/provision"
@@ -35,14 +34,13 @@ type runner struct {
 	nodes []*cacheNode
 	db    *dbModel
 
-	// machine runs the Proteus scenario's transitions (Section IV); the
-	// other scenarios remap brutally and have none.
-	machine    *transition.Machine
-	replicated *core.Replicated     // Proteus routing (the machine's geometry)
-	consistent *hashring.Consistent // Consistent routing
+	// machine sequences every scenario's power and routing (Section
+	// IV). A Table II baseline's machine routes with its own scheme and
+	// is brutal: each window closes in the engine event that opened it,
+	// so dying servers power off at the flip and nothing migrates.
+	machine *transition.Machine
 
 	provisionedN int              // plan level currently being executed
-	routingN     int              // routing prefix of the machine-less scenarios
 	provGen      int              // invalidates superseded boot callbacks
 	policy       provision.Policy // closed-loop decisions; nil in plan mode
 
@@ -135,84 +133,41 @@ func newRunner(cfg Config) (*runner, error) {
 		r.nodes = append(r.nodes, node)
 	}
 
-	switch cfg.Scenario {
-	case ScenarioProteus:
-		m, err := transition.New(transition.Config{
-			Fleet:         &fleet{nodes: r.nodes, noDigest: cfg.DisableDigest},
-			Nodes:         cfg.CacheServers,
-			InitialActive: cfg.Plan[0],
-			TTL:           cfg.TTL,
-			Replicas:      cfg.Replicas,
-			Backend:       cfg.Backend,
-			After:         eng.Timer,
-			Faults:        cfg.Faults,
-			Events:        r.events,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.machine = m
-		r.replicated = m.Geometry()
-	case ScenarioConsistent:
-		c, err := hashring.NewConsistentHalfSquare(cfg.CacheServers)
-		if err != nil {
-			return nil, err
-		}
-		r.consistent = c
+	mcfg := transition.Config{
+		Fleet:         &fleet{nodes: r.nodes, noDigest: cfg.DisableDigest},
+		Nodes:         cfg.CacheServers,
+		InitialActive: cfg.Plan[0],
+		TTL:           cfg.TTL,
+		Replicas:      cfg.Replicas,
+		Backend:       cfg.Backend,
+		After:         eng.Timer,
+		Faults:        cfg.Faults,
+		Events:        r.events,
 	}
+	if cfg.Scenario != ScenarioProteus {
+		// A baseline routes by its Table II scheme, broadcasts no digest
+		// and has no crash hook at the flip; fillDefaults already holds
+		// it to one copy.
+		mcfg.Backend = core.BackendModulo
+		if cfg.Scenario == ScenarioConsistent {
+			mcfg.Backend = core.BackendConsistent
+		}
+		mcfg.Fleet = &fleet{nodes: r.nodes, noDigest: true}
+		mcfg.Faults = nil
+	}
+	m, err := transition.New(mcfg)
+	if err != nil {
+		return nil, err
+	}
+	r.machine = m
 	return r, nil
 }
 
-// route maps a key to its owner at the given active-prefix size under
-// the scenario's scheme.
-func (r *runner) route(key string, active int) int {
-	switch r.cfg.Scenario {
-	case ScenarioProteus:
-		return r.replicated.OwnerOnRing(key, 0, active)
-	case ScenarioConsistent:
-		return r.consistent.Route(key, active)
-	default: // Static, Naive: hash + modulo
-		return hashring.Naive{}.Route(key, active)
-	}
-}
-
-// routeRing is route on one replication ring (always ring 0 unless
-// Proteus replication is enabled).
-func (r *runner) routeRing(key string, ring, active int) int {
-	if r.replicated != nil {
-		return r.replicated.OwnerOnRing(key, ring, active)
-	}
-	return r.route(key, active)
-}
-
-// rings returns the number of replication rings to read through.
-func (r *runner) rings() int {
-	if r.replicated != nil {
-		return r.replicated.Replicas()
-	}
-	return 1
-}
-
-// prefix returns the active-prefix size requests route with.
-func (r *runner) prefix() int {
-	if r.machine != nil {
-		return r.machine.Epoch().Active
-	}
-	return r.routingN
-}
-
 func (r *runner) run() (*Result, error) {
-	// Bring up the initial fleet (the machine already did for Proteus).
+	// The machine brought up the initial fleet.
 	initial := r.cfg.Plan[0]
 	if r.policy != nil {
 		r.realisedPlan = append(r.realisedPlan, initial)
-	}
-	if r.machine == nil {
-		for i := 0; i < initial; i++ {
-			r.nodes[i].state = nodeOn
-			r.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
-		}
-		r.routingN = initial
 	}
 	r.provisionedN = initial
 
@@ -258,7 +213,7 @@ func (r *runner) run() (*Result, error) {
 
 	r.eng.Run(r.horizon)
 
-	r.activeLog = append(r.activeLog, r.prefix())
+	r.activeLog = append(r.activeLog, r.machine.Epoch().Active)
 	plan := r.cfg.Plan
 	if r.policy != nil {
 		plan = r.realisedPlan
@@ -281,15 +236,12 @@ func (r *runner) run() (*Result, error) {
 
 // applyPlan executes the provisioning decision for a slot boundary.
 func (r *runner) applyPlan(slot int) {
-	r.activeLog = append(r.activeLog, r.prefix())
 	// One epoch per decision: whether a window is open, and whether it
 	// is a scale-down still draining (dying servers serving hot data for
 	// on-demand migration).
-	var open, draining bool
-	if r.machine != nil {
-		ep := r.machine.Epoch()
-		open, draining = ep.Open(), ep.Draining()
-	}
+	ep := r.machine.Epoch()
+	open, draining := ep.Open(), ep.Draining()
+	r.activeLog = append(r.activeLog, ep.Active)
 	var target int
 	if r.policy != nil {
 		// Closed loop: decide from the ending slot's measurements, as
@@ -339,62 +291,39 @@ func (r *runner) applyPlan(slot int) {
 	}
 	// A new decision supersedes any in-flight transition: finalize it
 	// now — a scale-up's own flip waits for the boot delay.
-	if r.machine != nil {
-		r.machine.FinalizeNow()
-	}
+	r.machine.FinalizeNow()
 	r.provGen++
 	gen := r.provGen
 
 	if target > r.provisionedN {
-		r.scaleUp(target, gen)
+		for i := ep.Active; i < target; i++ {
+			r.nodes[i].state = nodeBooting
+		}
+		r.eng.After(r.cfg.BootDelay, func() {
+			if r.provGen == gen { // not superseded
+				r.transitionTo(target)
+			}
+		})
 	} else {
-		r.scaleDown(target)
+		// Dying servers keep serving hot data for TTL while requests
+		// migrate it on demand (Section IV).
+		r.transitionTo(target)
 	}
 	r.provisionedN = target
 }
 
-func (r *runner) scaleUp(target, gen int) {
-	fromN := r.prefix()
-	for i := fromN; i < target; i++ {
-		r.nodes[i].state = nodeBooting
-	}
-	r.eng.After(r.cfg.BootDelay, func() {
-		if r.provGen != gen {
-			return // superseded
-		}
-		if r.machine != nil {
-			r.transitionTo(target)
-			return
-		}
-		for i := fromN; i < target; i++ {
-			r.nodes[i].state = nodeOn
-			r.events.Record(telemetry.Event{Kind: telemetry.EventPowerOn, Node: i})
-		}
-		r.routingN = target // brutal remap
-	})
-}
-
-func (r *runner) scaleDown(target int) {
-	if r.machine != nil {
-		// Dying servers keep serving hot data for TTL while requests
-		// migrate it on demand (Section IV).
-		r.transitionTo(target)
-		return
-	}
-	for i := target; i < r.routingN; i++ {
-		r.nodes[i].powerOff()
-	}
-	r.routingN = target
-}
-
-// transitionTo runs one smooth transition through the shared machine:
-// digests broadcast, routing switched to the new prefix, Algorithm 2
-// covering the window until the TTL deadline.
+// transitionTo runs one transition through the machine: digests
+// broadcast, routing switched to the new prefix, Algorithm 2 covering
+// the window until the TTL deadline. A baseline closes the window at
+// once: the brutal remap.
 func (r *runner) transitionTo(n int) {
 	// The only error a simulated fleet can produce is a degraded
 	// digest (a crashed source, or DisableDigest), which the request
 	// path absorbs.
-	if flipped, _ := r.machine.SetActive(n); flipped {
+	flipped, _ := r.machine.SetActive(n)
+	if r.cfg.Scenario != ScenarioProteus {
+		r.machine.FinalizeNow()
+	} else if flipped {
 		r.stats.Transitions++
 	}
 }
@@ -509,13 +438,8 @@ func (r *runner) startRequest(key string, done func(finish time.Duration)) {
 	t := now + r.cfg.WebOverhead
 
 	// One routing epoch per request.
-	var ep *transition.Epoch
-	routingN := r.routingN
-	if r.machine != nil {
-		ep = r.machine.Epoch()
-		routingN = ep.Active
-	}
-	primary := r.routeRing(key, 0, routingN)
+	ep := r.machine.Epoch()
+	primary := ep.Owner(key, 0)
 	if measured {
 		r.load.Observe(rel, primary)
 	}
@@ -523,10 +447,10 @@ func (r *runner) startRequest(key string, done func(finish time.Duration)) {
 	var tried [8]int
 	nTried := 0
 	missCounted := false
-	for ring := 0; ring < r.rings(); ring++ {
+	for ring, rings := 0, ep.RingsFor(key); ring < rings; ring++ {
 		owner := primary
 		if ring > 0 {
-			owner = r.routeRing(key, ring, routingN)
+			owner = ep.Owner(key, ring)
 		}
 		dup := false
 		for i := 0; i < nTried; i++ {
@@ -573,7 +497,7 @@ func (r *runner) startRequest(key string, done func(finish time.Duration)) {
 
 		// Lines 6-8: during a Proteus transition, consult the ring's
 		// old owner's digest before paying the database price.
-		if ep != nil && ep.Open() && !r.cfg.DisableDigest {
+		if ep.Open() && !r.cfg.DisableDigest {
 			if _, oldOwner, tryOld := ep.Route(key, ring); tryOld {
 				oldNode := r.nodes[oldOwner]
 				oldOK := oldNode.state == nodeOn
@@ -636,7 +560,7 @@ func (r *runner) finishViaDB(key string, from time.Duration, done func(time.Dura
 	dbDone := r.db.fetch(from, idx)
 	finish := dbDone
 
-	owners := r.writeOwners(key)
+	owners := r.machine.Epoch().Owners(key)
 	for i, owner := range owners {
 		node := r.nodes[owner]
 		if node.state != nodeOn {
@@ -675,15 +599,6 @@ func (r *runner) fault(server int, op faultinject.Op) faultinject.Decision {
 		return faultinject.Decision{}
 	}
 	return r.cfg.Faults.Decide(server, op)
-}
-
-// writeOwners returns the distinct owners that should store the key at
-// the current routing prefix (one per ring).
-func (r *runner) writeOwners(key string) []int {
-	if r.replicated == nil {
-		return []int{r.route(key, r.routingN)}
-	}
-	return r.replicated.DistinctOwners(key, r.prefix())
 }
 
 // samplePower records one PDU sample across the four tiers.

@@ -118,14 +118,16 @@ type Config struct {
 	// with the Proteus placement, but the web tier has no digests, so
 	// every re-mapped key goes straight to the database. Used by the
 	// ablation study to separate the placement's contribution from
-	// the digest's.
+	// the digest's. Proteus scenario only.
 	DisableDigest bool
 	// Replicas enables Section III-E replication for the Proteus
 	// scenario: r rings share the placement, reads fall through the
 	// rings, writes store on every distinct owner (0 or 1 disables).
+	// Proteus scenario only.
 	Replicas int
 	// Backend selects the placement geometry for the Proteus scenario
-	// (empty = Algorithm 1); see core.BackendKind.
+	// (empty = Algorithm 1); see core.BackendKind. Proteus scenario
+	// only: the baselines route by their Table II scheme.
 	Backend core.BackendKind
 	// CrashAt, when positive, powers off CrashServer at that offset
 	// into the measured run without any transition — an unplanned
@@ -136,8 +138,8 @@ type Config struct {
 	// the live TCP plane uses: per-operation OpGet/OpSet decisions are
 	// consulted in virtual time (errors degrade like a crashed node,
 	// delays stretch service time), and OpTransition rules fire at the
-	// ownership flip so crash/partition ordinals line up across both
-	// execution planes.
+	// Proteus scenario's ownership flip so crash/partition ordinals line
+	// up across both execution planes (a baseline's flip fires none).
 	Faults *faultinject.Injector
 
 	// Telemetry enables the deterministic tracer and transition-event
@@ -222,6 +224,12 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Scenario < ScenarioStatic || c.Scenario > ScenarioProteus {
 		return fmt.Errorf("sim: unknown scenario %d", int(c.Scenario))
+	}
+	if c.Scenario != ScenarioProteus && (c.Replicas > 1 || c.DisableDigest || c.Backend != "") {
+		// The baselines route by their own Table II scheme with one copy
+		// and no transitions; silently running them unchanged would
+		// mislabel the result.
+		return fmt.Errorf("sim: Replicas, DisableDigest and Backend apply to the Proteus scenario only, not %v", c.Scenario)
 	}
 	if c.CacheServers < 1 || c.Duration <= 0 || c.SlotWidth <= 0 {
 		return fmt.Errorf("sim: invalid shape (servers=%d duration=%v slot=%v)",
