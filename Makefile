@@ -34,15 +34,17 @@ bench-smoke:
 
 # Hard allocation assertions (cheap, exact, machine-independent), the
 # Test...Allocs functions of every package that owns a hot path: zero on
-# the server's GET path, two for a whole GET hit over loopback, zero per
-# scheduled DES event and no per-request closure, and zero for a cache
-# hit, a digest insert/probe, a Zipf draw, a sketch observation, a
-# histogram observation, a policy decision and every router's lookup.
+# the server's GET path, two for a whole GET hit over loopback (one when
+# the caller lends the buffer), two for a warm Fetch hit and under 1 KiB
+# for a warm page GET through the HTTP handler, zero per scheduled DES
+# event and no per-request closure, and zero for a cache hit, a digest
+# insert/probe, a Zipf draw, a sketch observation, a histogram
+# observation, a policy decision and every router's lookup.
 # Plain `go test ./...` runs them too; this is the fast way to ask.
 allocs-check:
 	$(GO) test -run 'Alloc' ./internal/cacheserver ./internal/memproto ./internal/cacheclient ./internal/sim \
 		./internal/cache ./internal/bloom ./internal/workload ./internal/hotkey ./internal/provision \
-		./internal/metrics ./internal/core
+		./internal/metrics ./internal/core ./internal/webtier
 
 # Conformance smoke: the model-based checker (internal/check) over a
 # fixed seed set on both execution planes, under the race detector,

@@ -97,10 +97,9 @@ type entry struct {
 	key        string
 	value      []byte
 	expires    time.Time // zero means never
-	lastAccess time.Time
-	seq        uint64 // global access ordinal (Keys MRU ordering)
-	cas        uint64 // unique token for check-and-set
-	prev, next *entry // intrusive LRU list
+	seq        uint64    // global access ordinal (Keys MRU ordering)
+	cas        uint64    // unique token for check-and-set
+	prev, next *entry    // intrusive LRU list
 }
 
 func (e *entry) size() int64 { return int64(len(e.key)) + int64(len(e.value)) + itemOverhead }
@@ -208,8 +207,8 @@ func (c *Cache) shardFor(key string) *shard {
 func (c *Cache) now() time.Time { return c.cfg.Clock() }
 
 // Get returns the value for key and whether it was resident and fresh.
-// A hit refreshes the item's LRU position and last-access time. The
-// returned slice is the cache's own buffer; callers must not modify it.
+// A hit refreshes the item's LRU position. The returned slice is the
+// cache's own buffer; callers must not modify it.
 //
 //lint:hotpath the serving read path
 func (c *Cache) Get(key string) ([]byte, bool) {
@@ -228,7 +227,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.ctr.misses.Add(1)
 		return nil, false
 	}
-	e.lastAccess = now
 	e.seq = c.accessSeq.Add(1)
 	s.moveToFrontLocked(e)
 	value := e.value
@@ -307,7 +305,7 @@ func (c *Cache) setLocked(s *shard, key string, value []byte, ttl time.Duration)
 		c.removeLocked(s, old, nil)
 	}
 	e := &entry{
-		key: key, value: value, expires: expires, lastAccess: now,
+		key: key, value: value, expires: expires,
 		seq: c.accessSeq.Add(1), cas: c.casCounter.Add(1),
 	}
 	s.items[key] = e
@@ -352,7 +350,6 @@ func (c *Cache) Touch(key string, ttl time.Duration) bool {
 	} else {
 		e.expires = now.Add(ttl)
 	}
-	e.lastAccess = now
 	e.seq = c.accessSeq.Add(1)
 	s.moveToFrontLocked(e)
 	return true
@@ -393,28 +390,6 @@ func (c *Cache) ExpireSweep() int {
 		s.mu.Unlock()
 	}
 	return dropped
-}
-
-// ColdKeys returns the keys not accessed within the given window — the
-// complement of the paper's "hot" set. The smooth-transition logic uses
-// this to verify a server is safe to power off after TTL seconds.
-func (c *Cache) ColdKeys(window time.Duration) []string {
-	cutoff := c.now().Add(-window)
-	var cold []string
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, e := range s.items {
-			if e.lastAccess.Before(cutoff) {
-				cold = append(cold, e.key)
-			}
-		}
-		s.mu.Unlock()
-	}
-	// Map iteration order must not leak into replay-critical output:
-	// power-off safety decisions consume this list.
-	sort.Strings(cold)
-	return cold
 }
 
 // Len returns the number of resident items (including not-yet-swept

@@ -170,23 +170,6 @@ func TestExpireSweep(t *testing.T) {
 	}
 }
 
-func TestColdKeys(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{Clock: clk.Now})
-	c.Set("old", []byte("v"), 0)
-	clk.Advance(10 * time.Minute)
-	c.Set("fresh", []byte("v"), 0)
-	cold := c.ColdKeys(5 * time.Minute)
-	if len(cold) != 1 || cold[0] != "old" {
-		t.Fatalf("ColdKeys = %v, want [old]", cold)
-	}
-	// Accessing refreshes hotness.
-	c.Get("old")
-	if cold := c.ColdKeys(5 * time.Minute); len(cold) != 0 {
-		t.Fatalf("ColdKeys after access = %v, want empty", cold)
-	}
-}
-
 func TestHooksTrackResidency(t *testing.T) {
 	linked := map[string]int{}
 	unlinked := map[string]int{}

@@ -42,7 +42,6 @@ func (c *Cache) GetWithCAS(key string) (value []byte, cas uint64, ok bool) {
 		c.ctr.misses.Add(1)
 		return nil, 0, false
 	}
-	e.lastAccess = now
 	e.seq = c.accessSeq.Add(1)
 	s.moveToFrontLocked(e)
 	value, cas = e.value, e.cas
@@ -112,7 +111,6 @@ func (c *Cache) arith(key string, delta uint64, up bool) (uint64, bool, error) {
 	// In-place value update: keeps expiry, refreshes recency and CAS.
 	s.bytes += int64(len(strconv.FormatUint(next, 10))) - int64(len(e.value))
 	e.value = []byte(strconv.FormatUint(next, 10))
-	e.lastAccess = c.now()
 	e.seq = c.accessSeq.Add(1)
 	e.cas = c.casCounter.Add(1)
 	s.moveToFrontLocked(e)
@@ -146,7 +144,6 @@ func (c *Cache) concat(key string, data []byte, after bool) bool {
 	}
 	s.bytes += int64(len(joined)) - int64(len(e.value))
 	e.value = joined
-	e.lastAccess = c.now()
 	e.seq = c.accessSeq.Add(1)
 	e.cas = c.casCounter.Add(1)
 	s.moveToFrontLocked(e)

@@ -15,7 +15,7 @@ type CASValue struct {
 
 // Gets fetches a key with its CAS token (memcached "gets").
 func (c *Client) Gets(key string) (CASValue, bool, error) {
-	v, ok, err := c.get(memproto.CmdGets, key)
+	v, ok, err := c.get(memproto.CmdGets, key, nil)
 	return CASValue{Value: v.Data, CAS: v.CAS}, ok, err
 }
 

@@ -601,18 +601,31 @@ func (c *Client) exchangeOnce(write func(*bufio.Writer) error, read func(*bufio.
 
 // Get fetches one key; ok reports residency.
 func (c *Client) Get(key string) (value []byte, ok bool, err error) {
-	v, ok, err := c.get(memproto.CmdGet, key)
+	return c.GetInto(key, nil)
+}
+
+// GetInto is Get reading a hit's value into buf's capacity when it
+// fits, so the returned value may alias buf; a larger value, or a nil
+// buf, gets a fresh slice.
+func (c *Client) GetInto(key string, buf []byte) (value []byte, ok bool, err error) {
+	v, ok, err := c.get(memproto.CmdGet, key, buf)
 	return v.Data, ok, err
 }
 
-// get is the single-key retrieval behind Get and Gets. Its closures do
-// not escape, so a hit allocates the value and nothing else.
-func (c *Client) get(cmd memproto.Command, key string) (value memproto.Value, ok bool, err error) {
+// get is the single-key retrieval behind GetInto and Gets. Its closures
+// do not escape, so a hit allocates the value and nothing else — and
+// not even that when buf holds it.
+func (c *Client) get(cmd memproto.Command, key string, buf []byte) (value memproto.Value, ok bool, err error) {
 	err = c.exchange(cmd.String(), func(bw *bufio.Writer) error {
 		return memproto.WriteGet(bw, cmd, key)
 	}, func(br *bufio.Reader) error {
 		for {
+			// Only the value kept is read into buf: a retried exchange
+			// or a repeated VALUE block must not overwrite it.
 			var v memproto.Value
+			if !ok {
+				v.Data = buf
+			}
 			more, err := memproto.ReadValue(br, &v)
 			if err != nil || !more {
 				return err

@@ -156,6 +156,12 @@ func TestClientLargeValue(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(v, big) {
 		t.Fatalf("large value round trip failed: ok=%v err=%v len=%d", ok, err, len(v))
 	}
+	// A lent buffer too small for the value is left alone.
+	buf := make([]byte, 16<<10)
+	v, ok, err = c.GetInto("big", buf)
+	if err != nil || !ok || !bytes.Equal(v, big) || !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatalf("GetInto with a small buffer: ok=%v err=%v len=%d", ok, err, len(v))
+	}
 }
 
 func TestClientBadKeyRejectedLocally(t *testing.T) {

@@ -29,7 +29,7 @@ func (o *Oracle) ringsFor(key string) int {
 // owners returns the key's distinct current owners at its replica
 // depth, primary first.
 func (o *Oracle) owners(key string) []int {
-	return o.replicated.DistinctOwnersN(key, o.active, o.ringsFor(key))
+	return o.replicated.DistinctOwnersN(nil, key, o.active, o.ringsFor(key))
 }
 
 // HotReplicas returns the promoted-key replica depth (1 when hot-key
@@ -103,7 +103,7 @@ func (o *Oracle) ApplyDemote(key string) bool {
 // absence) copied onto every non-primary owner. Returns the number of
 // copies touched and whether the sync ran.
 func (o *Oracle) syncHot(key string) (installs int, ok bool) {
-	owners := o.replicated.DistinctOwnersN(key, o.active, o.hotRings)
+	owners := o.replicated.DistinctOwnersN(nil, key, o.active, o.hotRings)
 	for _, s := range owners {
 		if !o.Reachable(s) {
 			return 0, false

@@ -154,7 +154,7 @@ func TestScriptedReplicationWalkthrough(t *testing.T) {
 	// Find a key with two distinct owners at the starting prefix.
 	var key string
 	for _, k := range keyUniverse(opt.Keys) {
-		if owners := s.oracle.replicated.DistinctOwnersN(k, 4, 2); len(owners) == 2 {
+		if owners := s.oracle.replicated.DistinctOwnersN(nil, k, 4, 2); len(owners) == 2 {
 			key = k
 			break
 		}

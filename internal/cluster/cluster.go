@@ -219,8 +219,11 @@ func (f fleet) Ping(i int) error {
 // Get, Set, Delete, MultiGet and LoadEstimate are node i's protocol
 // client by index — the data operations the web tier runs Algorithm 2
 // over (webtier.CacheTier) and the machine syncs hot replicas with.
-// Values are stored without expiry.
-func (c *Coordinator) Get(i int, key string) ([]byte, bool, error) { return c.clients[i].Get(key) }
+// Values are stored without expiry; Get reads a hit into buf when it
+// fits (cacheclient.Client.GetInto).
+func (c *Coordinator) Get(i int, key string, buf []byte) ([]byte, bool, error) {
+	return c.clients[i].GetInto(key, buf)
+}
 
 func (c *Coordinator) Set(i int, key string, value []byte) error {
 	return c.clients[i].Set(key, value, 0)

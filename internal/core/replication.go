@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Replicated realises Section III-E of the paper: r consistent-hashing
 // rings that share a single placement geometry but use r different
@@ -83,7 +86,7 @@ func (r *Replicated) Owners(key string, active int) []int {
 // DistinctOwners returns Owners with duplicates removed, preserving ring
 // order; its length is the number of physical copies actually stored.
 func (r *Replicated) DistinctOwners(key string, active int) []int {
-	return r.DistinctOwnersN(key, active, len(r.seeds))
+	return r.DistinctOwnersN(nil, key, active, len(r.seeds))
 }
 
 // DistinctOwnersN is DistinctOwners restricted to the first `rings`
@@ -91,29 +94,26 @@ func (r *Replicated) DistinctOwners(key string, active int) []int {
 // promoted keys a deeper replica set than cold keys over one shared
 // geometry: cold keys resolve with rings=1 (the primary ring only),
 // promoted keys with rings=R. The first entry is always the primary
-// (ring-0) owner.
-func (r *Replicated) DistinctOwnersN(key string, active, rings int) []int {
+// (ring-0) owner. The owners are appended to dst, so a caller with a
+// stack array routes without allocating; a nil dst gets a fresh slice.
+func (r *Replicated) DistinctOwnersN(dst []int, key string, active, rings int) []int {
 	if rings < 1 {
 		rings = 1
 	}
 	if rings > len(r.seeds) {
 		rings = len(r.seeds)
 	}
-	out := make([]int, 0, rings)
+	if dst == nil {
+		dst = make([]int, 0, rings)
+	}
+	start := len(dst)
 	for ring := 0; ring < rings; ring++ {
 		o := r.OwnerOnRing(key, ring, active)
-		dup := false
-		for _, seen := range out {
-			if seen == o {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, o)
+		if !slices.Contains(dst[start:], o) {
+			dst = append(dst, o)
 		}
 	}
-	return out
+	return dst
 }
 
 // NoConflictProbability is Eq. 3 of the paper: the probability that r

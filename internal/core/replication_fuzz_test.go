@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzReplicaResolution drives the replicated-ownership resolution path
 // with arbitrary keys and geometries and checks the invariants every
@@ -58,7 +61,7 @@ func FuzzReplicaResolution(f *testing.F) {
 		// DistinctOwnersN(k+1) for every depth.
 		prev := []int{}
 		for rings := 1; rings <= factor; rings++ {
-			cur := rep.DistinctOwnersN(key, act, rings)
+			cur := rep.DistinctOwnersN(nil, key, act, rings)
 			if len(cur) < len(prev) {
 				t.Fatalf("depth %d resolution shrank: %v -> %v", rings, prev, cur)
 			}
@@ -67,9 +70,15 @@ func FuzzReplicaResolution(f *testing.F) {
 					t.Fatalf("depth %d resolution reordered copies: %v -> %v", rings, prev, cur)
 				}
 			}
+			// Appending keeps dst's prefix and dedups only what it adds:
+			// a prefix entry equal to an owner does not hide it.
+			dst := append(make([]int, 0, 8), cur[0])
+			if got := rep.DistinctOwnersN(dst, key, act, rings); !slices.Equal(got, append([]int{cur[0]}, cur...)) {
+				t.Fatalf("depth %d appended to [%d]: %v, want [%d] + %v", rings, cur[0], got, cur[0], cur)
+			}
 			prev = cur
 		}
-		full := rep.DistinctOwnersN(key, act, factor)
+		full := rep.DistinctOwnersN(nil, key, act, factor)
 		if len(full) != len(distinct) {
 			t.Fatalf("full-depth DistinctOwnersN %v != DistinctOwners %v", full, distinct)
 		}

@@ -146,7 +146,7 @@ func BenchmarkReplicatedOwners(b *testing.B) {
 	b.Run("DistinctOwnersN", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			routeSink += len(r.DistinctOwnersN(keys[i%len(keys)], 48, 2))
+			routeSink += len(r.DistinctOwnersN(nil, keys[i%len(keys)], 48, 2))
 		}
 	})
 }

@@ -96,7 +96,7 @@ func HotBalance(scale Scale) (*HotBalanceResult, error) {
 			}
 		}
 		if hot[k] {
-			owners := replicated.DistinctOwnersN(k, servers, replicas)
+			owners := replicated.DistinctOwnersN(nil, k, servers, replicas)
 			pick := owners[0]
 			for _, o := range owners[1:] {
 				if repl[o] < repl[pick] {

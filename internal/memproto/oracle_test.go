@@ -147,21 +147,48 @@ func FuzzReadValuesEquivalence(f *testing.F) {
 			t.Fatalf("values differ:\n%+v\noracle:\n%+v", got, want)
 		}
 
-		// The unkeyed single-value form is the same reader minus Key.
-		br := bufio.NewReaderSize(bytes.NewReader(in), WireBufSize)
-		for i := 0; ; i++ {
-			var v Value
-			ok, err := ReadValue(br, &v)
-			if err != nil || !ok {
-				if errClass(err) != wantClass {
-					t.Fatalf("ReadValue error class %q, oracle %q", errClass(err), wantClass)
+		// The unkeyed single-value form is the same reader minus Key,
+		// with or without a lent buffer. A lent buffer changes where a
+		// body lands, never what is read: one too small comes back
+		// untouched, one large enough holds the body.
+		const fill = 0xa5
+		for _, lend := range []struct {
+			name string
+			buf  func(size int) []byte
+		}{
+			{"nil", func(int) []byte { return nil }},
+			{"cap 0", func(int) []byte { return []byte{} }},
+			{"cap 1", func(int) []byte { return []byte{fill} }},
+			{"cap = body", func(size int) []byte { return bytes.Repeat([]byte{fill}, size) }},
+			{"cap 64 KiB", func(int) []byte { return bytes.Repeat([]byte{fill}, 64<<10) }},
+		} {
+			br := bufio.NewReaderSize(bytes.NewReader(in), WireBufSize)
+			for i := 0; ; i++ {
+				size := 0
+				if i < len(want) {
+					size = len(want[i].Data)
 				}
-				break
-			}
-			if i < len(want) {
+				lent := lend.buf(size)
+				v := Value{Data: lent}
+				ok, err := ReadValue(br, &v)
+				if err != nil || !ok {
+					if errClass(err) != wantClass {
+						t.Fatalf("ReadValue (lent %s) error class %q, oracle %q", lend.name, errClass(err), wantClass)
+					}
+					break
+				}
+				if i >= len(want) {
+					continue
+				}
 				v.Key = want[i].Key
 				if !reflect.DeepEqual(v, want[i]) {
-					t.Fatalf("ReadValue %d = %+v, oracle %+v", i, v, want[i])
+					t.Fatalf("ReadValue (lent %s) %d = %+v, oracle %+v", lend.name, i, v, want[i])
+				}
+				switch {
+				case cap(lent) < size && !bytes.Equal(lent, bytes.Repeat([]byte{fill}, len(lent))):
+					t.Fatalf("ReadValue (lent %s) %d wrote into a buffer too small for its %d-byte body", lend.name, i, size)
+				case lent != nil && cap(lent) >= size && size > 0 && &v.Data[0] != &lent[0]:
+					t.Fatalf("ReadValue (lent %s) %d allocated a %d-byte body the lent buffer holds", lend.name, i, size)
 				}
 			}
 		}

@@ -158,8 +158,11 @@ func errorReply(line string) *ServerError {
 // block, stored into v (true), or the END terminator (false). It works
 // on the bytes of the reader's buffer — the Parser's line reader, field
 // splitter and overflow-exact numeric parsers — so the only allocation
-// is v.Data, which the caller may keep. v.Key is left empty: a
-// single-key caller knows which key it asked for; ReadValues fills it.
+// is v.Data, which the caller may keep. A caller that sets v.Data lends
+// its capacity: a body that fits is read into it, and one that does not
+// gets a fresh slice, leaving the lent bytes untouched. v.Key is left
+// empty: a single-key caller knows which key it asked for; ReadValues
+// fills it.
 //
 //lint:hotpath reply read on every client GET
 func ReadValue(br *bufio.Reader, v *Value) (bool, error) {
@@ -214,6 +217,7 @@ func readValue(br *bufio.Reader, v *Value, keyed bool) (bool, error) {
 		//lint:allow hotalloc error replies and malformed lines allocate their message; a hit never takes this path
 		return false, fmt.Errorf("%w: bad size in %q", ErrProtocol, line)
 	}
+	lent := v.Data[:0]
 	*v = Value{Flags: uint32(flags)}
 	if len(fields) == 5 {
 		cas, ok := parseUintBytes(fields[4], 64)
@@ -228,8 +232,12 @@ func readValue(br *bufio.Reader, v *Value, keyed bool) (bool, error) {
 		//lint:allow hotalloc multi-key callers index the reply by key and keep it
 		v.Key = string(fields[1])
 	}
-	//lint:allow hotalloc the value body is the one allocation of a GET: the caller keeps it
-	v.Data = make([]byte, size)
+	if lent != nil && int64(cap(lent)) >= size {
+		v.Data = lent[:size]
+	} else {
+		//lint:allow hotalloc the body is allocated only when no lent buffer fits it; the caller keeps it
+		v.Data = make([]byte, size)
+	}
 	// io.ReadFull copies what the buffer already holds and, for a body
 	// larger than the buffer, reads the excess straight into v.Data.
 	if _, err := io.ReadFull(br, v.Data); err != nil {

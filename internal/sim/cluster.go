@@ -149,8 +149,9 @@ func (f *fleet) Ping(i int) error {
 // Get, Set, Delete and MultiGet are one server's store by index. An off
 // or partitioned server answers errUnreachable, exactly as a live
 // protocol client does; the machine's hot-set sync and the web tier's
-// Algorithm 2 (through Tier) both degrade on it.
-func (f *fleet) Get(i int, key string) ([]byte, bool, error) {
+// Algorithm 2 (through Tier) both degrade on it. Get ignores buf: the
+// store hands back the slice it holds.
+func (f *fleet) Get(i int, key string, _ []byte) ([]byte, bool, error) {
 	if !f.reachable(i) {
 		return nil, false, errUnreachable
 	}

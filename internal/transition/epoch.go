@@ -67,8 +67,12 @@ func (e *Epoch) RingsFor(key string) int {
 // Owners returns the distinct servers that store the key, primary
 // first: one per ring at the key's depth, deduplicated (ring
 // collisions reduce the copy count, Eq. 3).
-func (e *Epoch) Owners(key string) []int {
-	return e.geo.DistinctOwnersN(key, e.Active, e.RingsFor(key))
+func (e *Epoch) Owners(key string) []int { return e.AppendOwners(nil, key) }
+
+// AppendOwners appends Owners(key) to dst and returns the result, so a
+// request path can route into a stack array.
+func (e *Epoch) AppendOwners(dst []int, key string) []int {
+	return e.geo.DistinctOwnersN(dst, key, e.Active, e.RingsFor(key))
 }
 
 // Owner returns the key's owner on one replication ring (ring 0 is the

@@ -110,13 +110,13 @@ func (m *Machine) Fanout(e *Epoch, key string, write func(owner int) bool) {
 // state.
 func (m *Machine) syncReplicas(key string) bool {
 	e := m.epoch.Load()
-	owners := e.geo.DistinctOwnersN(key, e.Active, e.hotRings)
+	owners := e.geo.DistinctOwnersN(nil, key, e.Active, e.hotRings)
 	for _, o := range owners {
 		if m.fleet.Ping(o) != nil {
 			return false
 		}
 	}
-	val, found, err := m.fleet.Get(owners[0], key)
+	val, found, err := m.fleet.Get(owners[0], key, nil)
 	if err != nil {
 		return false
 	}

@@ -49,8 +49,10 @@ type Fleet interface {
 	Ping(node int) error
 	// Get, Set and Delete act on one server's store directly (no
 	// routing); the hot-set sync copies the primary's state with them,
-	// and the web tier runs Algorithm 2 over the same three.
-	Get(node int, key string) (value []byte, found bool, err error)
+	// and the web tier runs Algorithm 2 over the same three. Get may
+	// read the value into buf's capacity, so the value may alias buf;
+	// the machine passes nil.
+	Get(node int, key string, buf []byte) (value []byte, found bool, err error)
 	Set(node int, key string, value []byte) error
 	Delete(node int, key string) (existed bool, err error)
 }

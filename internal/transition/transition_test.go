@@ -82,7 +82,7 @@ func (f *fakeFleet) Ping(i int) error {
 	return f.reach(i)
 }
 
-func (f *fakeFleet) Get(i int, key string) ([]byte, bool, error) {
+func (f *fakeFleet) Get(i int, key string, _ []byte) ([]byte, bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.reach(i); err != nil {
@@ -445,7 +445,7 @@ func hotKey(t *testing.T, e *Epoch, prefix int, avoid ...string) (string, []int)
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("hot-%04d", i)
-		if owners := e.geo.DistinctOwnersN(k, prefix, 2); len(owners) == 2 && !slices.Contains(avoid, k) {
+		if owners := e.geo.DistinctOwnersN(nil, k, prefix, 2); len(owners) == 2 && !slices.Contains(avoid, k) {
 			return k, owners
 		}
 	}
@@ -531,10 +531,10 @@ func TestHotSyncAfterFlip(t *testing.T) {
 	for i := 0; kept == "" || lost == ""; i++ {
 		k := fmt.Sprintf("hot-%04d", i)
 		e := r.m.Epoch()
-		if len(e.geo.DistinctOwnersN(k, 4, 2)) != 2 {
+		if len(e.geo.DistinctOwnersN(nil, k, 4, 2)) != 2 {
 			continue
 		}
-		at3 := e.geo.DistinctOwnersN(k, 3, 2)
+		at3 := e.geo.DistinctOwnersN(nil, k, 3, 2)
 		if len(at3) != 2 {
 			continue
 		}
@@ -552,7 +552,7 @@ func TestHotSyncAfterFlip(t *testing.T) {
 		}
 	}
 	// A stale copy waits on kept's future replica.
-	keptAt3 := r.m.Epoch().geo.DistinctOwnersN(kept, 3, 2)
+	keptAt3 := r.m.Epoch().geo.DistinctOwnersN(nil, kept, 3, 2)
 	r.fleet.put(keptAt3[0], kept, "v2")
 	r.fleet.put(keptAt3[1], kept, "stale")
 	r.fleet.setDown(victim, true)

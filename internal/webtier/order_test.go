@@ -40,7 +40,7 @@ func newRecTier(t *testing.T, nodes int) *recTier {
 func (r *recTier) ObserveGet(string)        {}
 func (r *recTier) LoadEstimate(int) float64 { return 0 }
 
-func (r *recTier) Get(i int, key string) ([]byte, bool, error) {
+func (r *recTier) Get(i int, key string, _ []byte) ([]byte, bool, error) {
 	v, ok := r.stores[i][key]
 	return v, ok, nil
 }

@@ -20,8 +20,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"proteus/internal/chunk"
+	"proteus/internal/memproto"
 	"proteus/internal/telemetry"
 	"proteus/internal/transition"
 )
@@ -46,7 +48,11 @@ type CacheTier interface {
 	Fanout(e *transition.Epoch, key string, write func(owner int) bool)
 	// ObserveGet feeds one read into online hot-key detection, if any.
 	ObserveGet(key string)
-	Get(node int, key string) (value []byte, found bool, err error)
+	// Get reads one server's value for key. buf is scratch space the
+	// tier may read the value into, so the value may alias buf: a
+	// caller lends only a buffer it owns until it is done with the
+	// value, and passes nil when the value outlives the request.
+	Get(node int, key string, buf []byte) (value []byte, found bool, err error)
 	// Set stores without expiry.
 	Set(node int, key string, value []byte) error
 	Delete(node int, key string) (existed bool, err error)
@@ -191,9 +197,17 @@ func New(cfg Config) (*Frontend, error) {
 // derived keys (the paper's basic-unit assumption) and reassembled
 // here.
 func (f *Frontend) Fetch(key string) ([]byte, Source, error) {
+	return f.fetchInto(key, nil)
+}
+
+// fetchInto is Fetch lending buf to the cache tier's first read (see
+// CacheTier.Get): a hit on a current owner may come back in buf. Any
+// other answer — a migration, a database fill, a flight shared with
+// other requests — is a slice of its own.
+func (f *Frontend) fetchInto(key string, buf []byte) ([]byte, Source, error) {
 	sp := f.tracer.Start("webtier.fetch")
 	sp.SetAttr("key", key)
-	data, src, err := f.fetch(key)
+	data, src, err := f.fetch(key, buf)
 	if err != nil {
 		sp.SetAttr("source", "error")
 	} else {
@@ -203,13 +217,13 @@ func (f *Frontend) Fetch(key string) ([]byte, Source, error) {
 	return data, src, err
 }
 
-func (f *Frontend) fetch(key string) ([]byte, Source, error) {
+func (f *Frontend) fetch(key string, buf []byte) ([]byte, Source, error) {
 	f.coord.ObserveGet(key)
 	// One routing epoch per request: every decision below — owners, hot
 	// status, the open window and its digests — is read from the same
 	// instant.
 	ep := f.coord.Epoch()
-	if raw, src, ok := f.cacheFetch(ep, key); ok {
+	if raw, src, ok := f.cacheFetch(ep, key, buf); ok {
 		if f.pieceSize > 0 && chunk.IsManifest(raw) {
 			if data, ok := f.gatherPieces(ep, key, raw); ok {
 				return data, src, nil
@@ -231,8 +245,9 @@ func (f *Frontend) fetch(key string) ([]byte, Source, error) {
 		// the cache while an earlier flight was in progress can reach
 		// here only after that flight completed — and its write-through
 		// with it — so one probe of the primary keeps the whole
-		// stampede at a single database query.
-		if raw, ok, err := f.coord.Get(ep.Owner(key, 0), key); err == nil && ok {
+		// stampede at a single database query. The value goes to every
+		// collapsed waiter, so it is never read into a lent buffer.
+		if raw, ok, err := f.coord.Get(ep.Owner(key, 0), key, nil); err == nil && ok {
 			if f.pieceSize == 0 || !chunk.IsManifest(raw) {
 				return raw, nil
 			}
@@ -267,12 +282,17 @@ func (f *Frontend) fetch(key string) ([]byte, Source, error) {
 // missing copy just falls through) makes the answer independent of
 // probe order, so load-aware routing moves work, never meaning. Phase
 // 2 consults the old owners' digests ring by ring during a transition
-// and amortized-migrates a hit onto that ring's new owner.
-func (f *Frontend) cacheFetch(ep *transition.Epoch, key string) ([]byte, Source, bool) {
+// and amortized-migrates a hit onto that ring's new owner. Only phase 1
+// reads into buf: a migrated value is handed to Set, and a store may
+// keep the slice it is given.
+func (f *Frontend) cacheFetch(ep *transition.Epoch, key string, buf []byte) ([]byte, Source, bool) {
 	// Phase 1: current owners. A transport error (crashed or
 	// partitioned server, open circuit breaker) degrades to the next
 	// replica and ultimately the database — never to a client error.
-	owners := ep.Owners(key)
+	// The owners are routed into a stack array: a hit allocates nothing
+	// here.
+	var route [4]int
+	owners := ep.AppendOwners(route[:0], key)
 	primary := owners[0]
 	if len(owners) > 1 && ep.IsHot(key) {
 		// Load-aware ordering applies to promoted keys only: Section
@@ -282,7 +302,7 @@ func (f *Frontend) cacheFetch(ep *transition.Epoch, key string) ([]byte, Source,
 		owners = f.orderByLoad(owners)
 	}
 	for _, owner := range owners {
-		if data, ok, err := f.coord.Get(owner, key); err == nil && ok {
+		if data, ok, err := f.coord.Get(owner, key, buf); err == nil && ok {
 			f.hits.Inc()
 			if owner != primary {
 				f.replicaHits.Inc()
@@ -302,7 +322,7 @@ func (f *Frontend) cacheFetch(ep *transition.Epoch, key string) ([]byte, Source,
 			continue
 		}
 		consulted = append(consulted, oldOwner)
-		data, ok, err := f.coord.Get(oldOwner, key)
+		data, ok, err := f.coord.Get(oldOwner, key, nil)
 		if err != nil {
 			// Faulted old owner: fall through to the DB path rather
 			// than surfacing the error (the digest may even have been
@@ -403,7 +423,7 @@ func (f *Frontend) gatherPieces(ep *transition.Epoch, key string, rawManifest []
 		if found[i] {
 			continue
 		}
-		p, _, ok := f.cacheFetch(ep, pieceKeys[i])
+		p, _, ok := f.cacheFetch(ep, pieceKeys[i], nil)
 		if !ok {
 			return nil, false
 		}
@@ -483,7 +503,7 @@ func (f *Frontend) FetchMany(keys ...string) (map[string][]byte, error) {
 				continue
 			}
 		}
-		data, _, err := f.fetch(k)
+		data, _, err := f.fetch(k, nil)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -541,6 +561,27 @@ func (f *Frontend) Stats() Stats {
 // pagePrefix is the HTTP route for page fetches.
 const pagePrefix = "/page/"
 
+// pageBufs recycles the buffers a page GET lends to the cache tier, so
+// a hit is read off the cache hop, written to the client and dropped
+// without allocating the page. A buffer holds what one wire buffer of
+// the cache hop holds; a larger page is allocated as before.
+var pageBufs = sync.Pool{New: func() any {
+	b := make([]byte, memproto.WireBufSize)
+	return &b
+}}
+
+// Response header values, shared by every page GET. Assigning them
+// allocates nothing; net/http clones the handler's header map at
+// WriteHeader, so no response can change them.
+var (
+	sourceHeader = [...][]string{
+		SourceNewCache: {SourceNewCache.String()},
+		SourceOldCache: {SourceOldCache.String()},
+		SourceDatabase: {SourceDatabase.String()},
+	}
+	textPlainHeader = []string{"text/plain; charset=utf-8"}
+)
+
 // ServeHTTP exposes the frontend as the paper's servlet layer:
 // GET /page/<key> returns the page body; /stats returns counters.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -553,16 +594,22 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		switch r.Method {
 		case http.MethodGet:
-			data, source, err := f.Fetch(key)
+			// data may alias the borrowed buffer, or be a slice shared
+			// with other requests of one flight: only bp goes back to
+			// the pool, and only once Write has copied data out.
+			bp := pageBufs.Get().(*[]byte)
+			defer pageBufs.Put(bp)
+			data, source, err := f.fetchInto(key, *bp)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadGateway)
 				return
 			}
-			w.Header().Set("X-Proteus-Source", source.String())
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			h := w.Header()
+			h["X-Proteus-Source"] = sourceHeader[source]
+			h["Content-Type"] = textPlainHeader
 			// A page is larger than net/http's 2 KiB sniffing buffer, so
 			// without a length every response goes out chunked.
-			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+			h.Set("Content-Length", strconv.Itoa(len(data)))
 			_, _ = w.Write(data)
 		case http.MethodPut:
 			body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))

@@ -22,7 +22,7 @@ func (f *Frontend) Update(key string, data []byte) error {
 	ep := f.coord.Epoch()
 	oldPieces := 0
 	if f.pieceSize > 0 {
-		if raw, _, ok := f.cacheFetch(ep, key); ok && chunk.IsManifest(raw) {
+		if raw, _, ok := f.cacheFetch(ep, key, nil); ok && chunk.IsManifest(raw) {
 			if m, err := chunk.DecodeManifest(raw); err == nil {
 				oldPieces = m.Pieces()
 			}
@@ -50,7 +50,7 @@ func (f *Frontend) Invalidate(key string) (bool, error) {
 	ep := f.coord.Epoch()
 	pieces := 0
 	if f.pieceSize > 0 {
-		if raw, _, ok := f.cacheFetch(ep, key); ok && chunk.IsManifest(raw) {
+		if raw, _, ok := f.cacheFetch(ep, key, nil); ok && chunk.IsManifest(raw) {
 			if m, err := chunk.DecodeManifest(raw); err == nil {
 				pieces = m.Pieces()
 			}
