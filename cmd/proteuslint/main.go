@@ -1,10 +1,10 @@
 // Command proteuslint runs the repository's analyzer suite (see
 // internal/lint) over module packages — a multichecker in the
 // x/tools/go/analysis sense, built purely on the standard library so it
-// works in hermetic build environments. Per-package analyzers run on
-// each package; the whole-program analyzers (transdeterminism,
-// lockorder, goleak, hotalloc) run once over the resolved call graph
-// of everything loaded.
+// works in hermetic build environments. The per-package analyzers
+// (closecheck, errdrop, metrichygiene) run on each package; the
+// whole-program analyzers (transdeterminism, lockorder, goleak,
+// hotalloc) run once over the resolved call graph of everything loaded.
 //
 // Usage:
 //
@@ -47,12 +47,7 @@ func main() {
 	flag.Parse()
 
 	if *listFlag {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range lint.GlobalAnalyzers() {
-			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
-		}
+		list(os.Stdout)
 		return
 	}
 	patterns := flag.Args()
@@ -63,7 +58,7 @@ func main() {
 	if *verbose {
 		progress = os.Stderr
 	}
-	n, err := run(patterns, progress, *jsonFlag)
+	n, err := run(os.Stdout, patterns, progress, *jsonFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "proteuslint:", err)
 		os.Exit(2)
@@ -76,8 +71,18 @@ func main() {
 	}
 }
 
-// run prints findings and reports how many survive suppression.
-func run(patterns []string, progress io.Writer, asJSON bool) (int, error) {
+// list prints one line per analyzer: its name and doc.
+func list(out io.Writer) {
+	for _, a := range lint.Analyzers() {
+		fmt.Fprintf(out, "%-18s %s\n", a.Name, a.Doc)
+	}
+	for _, a := range lint.GlobalAnalyzers() {
+		fmt.Fprintf(out, "%-18s %s\n", a.Name, a.Doc)
+	}
+}
+
+// run prints findings to out and reports how many survive suppression.
+func run(out io.Writer, patterns []string, progress io.Writer, asJSON bool) (int, error) {
 	wd, err := os.Getwd()
 	if err != nil {
 		return 0, err
@@ -91,7 +96,7 @@ func run(patterns []string, progress io.Writer, asJSON bool) (int, error) {
 		return 0, err
 	}
 	if asJSON {
-		out := make([]jsonFinding, 0, len(res.Findings))
+		findings := make([]jsonFinding, 0, len(res.Findings))
 		for _, f := range res.Findings {
 			pos := res.Fset.Position(f.Pos)
 			// Module-root-relative paths: CI turns these into GitHub
@@ -100,7 +105,7 @@ func run(patterns []string, progress io.Writer, asJSON bool) (int, error) {
 			if rel, err := filepath.Rel(root, file); err == nil {
 				file = rel
 			}
-			out = append(out, jsonFinding{
+			findings = append(findings, jsonFinding{
 				File:       file,
 				Line:       pos.Line,
 				Col:        pos.Column,
@@ -109,9 +114,9 @@ func run(patterns []string, progress io.Writer, asJSON bool) (int, error) {
 				Suppressed: f.Suppressed,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(findings); err != nil {
 			return 0, err
 		}
 		return res.Unsuppressed(), nil
@@ -121,7 +126,7 @@ func run(patterns []string, progress io.Writer, asJSON bool) (int, error) {
 			continue
 		}
 		pos := res.Fset.Position(f.Pos)
-		fmt.Printf("%s: %s (%s)\n", pos, f.Message, f.Analyzer)
+		fmt.Fprintf(out, "%s: %s (%s)\n", pos, f.Message, f.Analyzer)
 	}
 	return res.Unsuppressed(), nil
 }

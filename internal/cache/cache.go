@@ -143,7 +143,7 @@ type Cache struct {
 
 // New builds an empty cache. Config.Clock must be set: silently
 // defaulting to the wall clock here is exactly the kind of hidden
-// nondeterminism the replay contract (and proteuslint's nodeterminism
+// nondeterminism the replay contract (and proteuslint's transdeterminism
 // analyzer) forbids, so a nil Clock panics like other unusable configs
 // in this repository (cf. metrics.NewLatencySeries).
 func New(cfg Config) *Cache {

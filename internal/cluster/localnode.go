@@ -85,7 +85,7 @@ func (n *LocalNode) PowerOn() error {
 	ln := n.reserved
 	n.reserved = nil
 	if ln == nil {
-		//lint:allow locksafety power transitions are serialized by design; binding under n.mu is what prevents a double PowerOn from racing two servers onto one port
+		//lint:allow lockorder power transitions are serialized by design; binding under n.mu is what prevents a double PowerOn from racing two servers onto one port
 		ln, err = net.Listen("tcp", addr)
 		if err != nil {
 			return fmt.Errorf("cluster: local node bind %s: %w", addr, err)

@@ -112,7 +112,7 @@ func New(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("database: ConcurrencyPerShard must be >= 1, got %d", cfg.ConcurrencyPerShard)
 	}
 	if cfg.Sleep == nil {
-		//lint:allow nodeterminism live-tier default at the wall-clock boundary; the DES never calls Sleep (it reuses LatencyModel, which is pure given its seeded rng)
+		//lint:allow transdeterminism live-tier default at the wall-clock boundary; the DES never calls Sleep (it reuses LatencyModel, which is pure given its seeded rng)
 		cfg.Sleep = time.Sleep
 	}
 	db := &DB{cfg: cfg, shards: make([]*shard, cfg.Shards)}

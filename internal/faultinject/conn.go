@@ -19,7 +19,7 @@ var ErrInjected = errors.New("faultinject: injected fault")
 func (in *Injector) Dial(server int, addr string, timeout time.Duration) (net.Conn, error) {
 	switch d := in.Decide(server, OpDial); d.Kind {
 	case KindDelay, KindSlowRead:
-		//lint:allow nodeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
+		//lint:allow transdeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
 		time.Sleep(d.Delay)
 	case KindError, KindDrop:
 		return nil, fmt.Errorf("dial %s: %w", addr, ErrInjected)
@@ -47,10 +47,10 @@ type faultConn struct {
 func (c *faultConn) Read(p []byte) (int, error) {
 	switch d := c.in.Decide(c.server, OpRead); d.Kind {
 	case KindDelay:
-		//lint:allow nodeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
+		//lint:allow transdeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
 		time.Sleep(d.Delay)
 	case KindSlowRead:
-		//lint:allow nodeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
+		//lint:allow transdeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
 		time.Sleep(d.Delay)
 		if len(p) > 1 {
 			p = p[:1]
@@ -67,7 +67,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 func (c *faultConn) Write(p []byte) (int, error) {
 	switch d := c.in.Decide(c.server, OpWrite); d.Kind {
 	case KindDelay, KindSlowRead:
-		//lint:allow nodeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
+		//lint:allow transdeterminism live-plane fault actuation: the schedule is already fixed by the seeded Decide; the DES applies delays in virtual time instead
 		time.Sleep(d.Delay)
 	case KindError:
 		return 0, fmt.Errorf("write: %w", ErrInjected)

@@ -14,7 +14,7 @@
 //
 // Everything here is a pure function of the observation stream: no wall
 // clock, no global randomness. The package is on the replay-critical
-// list of the nodeterminism lint, and the conformance harness depends
+// list of the transdeterminism lint, and the conformance harness depends
 // on that.
 package hotkey
 

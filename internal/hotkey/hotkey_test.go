@@ -173,7 +173,7 @@ func TestSketchRotatingHotSet(t *testing.T) {
 	}
 }
 
-// Seeded determinism per the nodeterminism lint contract: the same
+// Seeded determinism per the transdeterminism lint contract: the same
 // stream produces bit-identical sketches and tracker decisions.
 func TestSketchDeterministic(t *testing.T) {
 	run := func() ([]Entry, []Change) {

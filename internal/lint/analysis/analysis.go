@@ -51,6 +51,18 @@ type Diagnostic struct {
 	Analyzer string
 }
 
+// Less orders diagnostics by position, then analyzer, then message, so
+// several findings at one position print in a fixed order.
+func Less(a, b Diagnostic) bool {
+	if a.Pos != b.Pos {
+		return a.Pos < b.Pos
+	}
+	if a.Analyzer != b.Analyzer {
+		return a.Analyzer < b.Analyzer
+	}
+	return a.Message < b.Message
+}
+
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diagnostics = append(p.diagnostics, Diagnostic{
@@ -77,7 +89,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 }
 
 // Run executes one analyzer over one package and returns its findings
-// sorted by position, with //lint:allow-suppressed findings removed.
+// sorted by Less, with //lint:allow-suppressed findings removed.
 // Malformed directives suppress nothing; drivers surface them via
 // CheckDirectives, once per package.
 func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
@@ -87,15 +99,15 @@ func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package
 
 // RunAll is Run, but additionally returns the findings a //lint:allow
 // directive suppressed, so machine-readable drivers (proteuslint -json)
-// can report the full picture. Both slices are sorted by position.
+// can report the full picture. Both slices are sorted by Less.
 func RunAll(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) (kept, suppressed []Diagnostic, err error) {
 	pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
 	if err := a.Run(pass); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
 	kept, suppressed = SuppressSplit(fset, files, pass.diagnostics)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
-	sort.Slice(suppressed, func(i, j int) bool { return suppressed[i].Pos < suppressed[j].Pos })
+	sort.Slice(kept, func(i, j int) bool { return Less(kept[i], kept[j]) })
+	sort.Slice(suppressed, func(i, j int) bool { return Less(suppressed[i], suppressed[j]) })
 	return kept, suppressed, nil
 }
 

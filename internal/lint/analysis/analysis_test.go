@@ -154,10 +154,11 @@ func TestRunSortsAndSuppresses(t *testing.T) {
 	fset, files, assigns := parseSrc(t)
 	a := &Analyzer{
 		Name: "demo",
-		Doc:  "flags every assignment, in reverse order to exercise sorting",
+		Doc:  "flags every assignment twice, in reverse order to exercise sorting",
 		Run: func(pass *Pass) error {
 			for i := len(assigns) - 1; i >= 0; i-- {
-				pass.Reportf(assigns[i], "assignment")
+				pass.Reportf(assigns[i], "assignment b")
+				pass.Reportf(assigns[i], "assignment a")
 			}
 			return nil
 		},
@@ -166,12 +167,12 @@ func TestRunSortsAndSuppresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 4 {
-		t.Fatalf("Run returned %d diagnostics, want 4", len(diags))
+	if len(diags) != 8 {
+		t.Fatalf("Run returned %d diagnostics, want 8", len(diags))
 	}
 	for i := 1; i < len(diags); i++ {
-		if diags[i-1].Pos > diags[i].Pos {
-			t.Errorf("diagnostics not sorted: %v then %v", diags[i-1].Pos, diags[i].Pos)
+		if !Less(diags[i-1], diags[i]) {
+			t.Errorf("diagnostics not sorted: %v then %v", diags[i-1], diags[i])
 		}
 	}
 }

@@ -26,9 +26,9 @@ type Analyzer struct {
 
 // RunAll executes a whole-program analyzer over prog and partitions
 // its findings into kept and //lint:allow-suppressed, both sorted by
-// position. Directives from every loaded file apply, so a suppression
-// sits next to the reported site regardless of which package the
-// analyzer reasoned from.
+// analysis.Less. Directives from every loaded file apply, so a
+// suppression sits next to the reported site regardless of which
+// package the analyzer reasoned from.
 func RunAll(a *Analyzer, prog *Program) (kept, suppressed []analysis.Diagnostic, err error) {
 	diags, err := a.Run(prog)
 	if err != nil {
@@ -44,7 +44,7 @@ func RunAll(a *Analyzer, prog *Program) (kept, suppressed []analysis.Diagnostic,
 		files = append(files, pkg.Files...)
 	}
 	kept, suppressed = analysis.SuppressSplit(prog.Fset, files, diags)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
-	sort.Slice(suppressed, func(i, j int) bool { return suppressed[i].Pos < suppressed[j].Pos })
+	sort.Slice(kept, func(i, j int) bool { return analysis.Less(kept[i], kept[j]) })
+	sort.Slice(suppressed, func(i, j int) bool { return analysis.Less(suppressed[i], suppressed[j]) })
 	return kept, suppressed, nil
 }

@@ -99,7 +99,8 @@ type LockSite struct {
 }
 
 // SeqKind classifies one event in a function's linear source-order
-// replay (the same approximation locksafety uses intraprocedurally).
+// replay: Lock/Unlock/return/blocking events ordered by position, with
+// no control-flow graph.
 type SeqKind int
 
 const (
@@ -107,6 +108,10 @@ const (
 	SeqUnlock
 	SeqDeferUnlock
 	SeqCall
+	SeqReturn
+	// SeqBlocking is a FactBlocking fact of the function itself, outside
+	// defer statements (a deferred call runs at exit, not here).
+	SeqBlocking
 )
 
 // SeqEvent is one lock-relevant event in source order.
@@ -114,6 +119,8 @@ type SeqEvent struct {
 	Pos  token.Pos
 	Kind SeqKind
 	Key  string // lock key (SeqLock/SeqUnlock/SeqDeferUnlock)
+	Expr string // rendered mutex expression, e.g. "s.mu" (same kinds as Key)
+	Desc string // the blocking operation (SeqBlocking)
 	Edge *Edge  // resolved call (SeqCall)
 }
 
@@ -122,6 +129,14 @@ type Summary struct {
 	Facts    []Fact
 	Acquires []LockSite
 	Seq      []SeqEvent
+}
+
+// Ref is a wall-clock or global-rand use that is not a call fact of any
+// node: a bare reference in a function body (c = time.Now), or any use
+// in a package-level declaration. Refs do not propagate to callers.
+type Ref struct {
+	Pkg string // import path of the package the use is in
+	Fact
 }
 
 // Edge is one call site and its resolved callees.
@@ -180,6 +195,7 @@ type Program struct {
 	Fset  *token.FileSet
 	Pkgs  []*loader.Package
 	Nodes []*Node
+	Refs  []Ref
 
 	byObj   map[*types.Func]*Node
 	byLit   map[*ast.FuncLit]*Node
@@ -228,10 +244,27 @@ func pkgBase(path string) string {
 // function literal in pkg, in source order.
 func (p *Program) collectNodes(pkg *loader.Package) {
 	base := pkgBase(pkg.Path)
+	varLits := 0
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
+				// A package-level initializer runs outside every
+				// declared function: its uses are Refs, and each
+				// function literal in it is a node, pkg.var$N.
+				ast.Inspect(decl, func(node ast.Node) bool {
+					switch node := node.(type) {
+					case *ast.SelectorExpr:
+						p.recordRef(pkg, node)
+					case *ast.FuncLit:
+						return false
+					}
+					return true
+				})
+				varLits = p.collectLits(pkg, base+".var", decl, varLits)
+				continue
+			}
+			if fd.Body == nil {
 				continue
 			}
 			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
@@ -250,27 +283,32 @@ func (p *Program) collectNodes(pkg *loader.Package) {
 					p.methods[obj.Name()] = append(p.methods[obj.Name()], n)
 				}
 			}
-			// Function literals nested in this declaration become
-			// their own nodes so control-flow facts stay per-function.
-			litIndex := 0
-			ast.Inspect(fd.Body, func(node ast.Node) bool {
-				lit, ok := node.(*ast.FuncLit)
-				if !ok {
-					return true
-				}
-				litIndex++
-				ln := &Node{
-					Pkg:   pkg,
-					Lit:   lit,
-					Name:  fmt.Sprintf("%s$%d", n.Name, litIndex),
-					locks: make(map[string]bool),
-				}
-				p.Nodes = append(p.Nodes, ln)
-				p.byLit[lit] = ln
-				return true
-			})
+			p.collectLits(pkg, n.Name, fd.Body, 0)
 		}
 	}
+}
+
+// collectLits creates a node for every function literal under root,
+// so control-flow facts stay per-function. They are named parent$N,
+// numbered on from index in source order; it returns the last number.
+func (p *Program) collectLits(pkg *loader.Package, parent string, root ast.Node, index int) int {
+	ast.Inspect(root, func(node ast.Node) bool {
+		lit, ok := node.(*ast.FuncLit)
+		if !ok {
+			return true
+		}
+		index++
+		ln := &Node{
+			Pkg:   pkg,
+			Lit:   lit,
+			Name:  fmt.Sprintf("%s$%d", parent, index),
+			locks: make(map[string]bool),
+		}
+		p.Nodes = append(p.Nodes, ln)
+		p.byLit[lit] = ln
+		return true
+	})
+	return index
 }
 
 // declName renders a stable display name for a declaration.

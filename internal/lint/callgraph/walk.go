@@ -7,8 +7,35 @@ import (
 	"go/types"
 
 	"proteus/internal/lint/lintutil"
-	"proteus/internal/lint/nodeterminism"
+	"proteus/internal/lint/loader"
 )
+
+// wallClock lists the time package functions that read or schedule
+// against the wall clock. Referencing one (even without calling it,
+// e.g. `cfg.Clock = time.Now`) defeats replay.
+var wallClock = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+	"AfterFunc": true,
+}
+
+// globalRand lists the math/rand package-level functions backed by the
+// shared process-wide source. rand.New, rand.NewSource, and rand.NewZipf
+// are absent: constructing a seeded generator is exactly the idiom the
+// determinism contract requires.
+var globalRand = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true,
+	"NormFloat64": true, "Perm": true, "Shuffle": true,
+	"Seed": true, "Read": true,
+}
 
 // allocFuncs lists standard-library package functions that allocate on
 // every call. The table is deliberately small and obvious: hotalloc is
@@ -49,6 +76,7 @@ func (p *Program) walkNode(n *Node) {
 	info := n.Pkg.Info
 	goCalls := make(map[*ast.CallExpr]bool)
 	deferCalls := make(map[*ast.CallExpr]bool)
+	calledFuns := make(map[ast.Expr]bool)
 	cmpConv := make(map[*ast.CallExpr]bool)
 	results := n.resultTuple()
 
@@ -72,9 +100,15 @@ func (p *Program) walkNode(n *Node) {
 	var mapOrder []Fact
 	sawSort := false
 
+	// deferEnd is the end of the last defer statement walked: a blocking
+	// operation before it runs at exit, so it is no SeqBlocking event.
+	var deferEnd token.Pos
 	addFact := func(pos token.Pos, kind FactKind, desc string) {
 		n.Summary.Facts = append(n.Summary.Facts, Fact{Pos: pos, Kind: kind, Desc: desc})
 		n.direct[kind] = true
+		if kind == FactBlocking && pos >= deferEnd {
+			n.Summary.Seq = append(n.Summary.Seq, SeqEvent{Pos: pos, Kind: SeqBlocking, Desc: desc})
+		}
 	}
 
 	lintutil.InspectShallow(n.body(), func(node ast.Node) bool {
@@ -83,6 +117,7 @@ func (p *Program) walkNode(n *Node) {
 			goCalls[node.Call] = true
 		case *ast.DeferStmt:
 			deferCalls[node.Call] = true
+			deferEnd = node.End()
 		case *ast.FuncLit:
 			addFact(node.Pos(), FactAlloc, "function literal (closure allocation)")
 		case *ast.SwitchStmt:
@@ -90,7 +125,14 @@ func (p *Program) walkNode(n *Node) {
 				markCmpConv(node.Tag)
 			}
 		case *ast.CallExpr:
+			calledFuns[node.Fun] = true
 			p.visitCall(n, node, goCalls[node], deferCalls[node], cmpConv[node], addFact)
+		case *ast.SelectorExpr:
+			// A call's own function is a fact of this node (visitCall);
+			// any other reference is a Ref.
+			if !calledFuns[node] {
+				p.recordRef(n.Pkg, node)
+			}
 		case *ast.SendStmt:
 			addFact(node.Pos(), FactBlocking, "channel send")
 			addFact(node.Pos(), FactJoin, "channel send")
@@ -136,6 +178,7 @@ func (p *Program) walkNode(n *Node) {
 		case *ast.ValueSpec:
 			boxingInValueSpec(info, node, addFact)
 		case *ast.ReturnStmt:
+			n.Summary.Seq = append(n.Summary.Seq, SeqEvent{Pos: node.Pos(), Kind: SeqReturn})
 			boxingInReturn(info, node, results, addFact)
 		}
 		// Track sort usage anywhere in the function: a function that
@@ -171,7 +214,7 @@ func (p *Program) visitCall(n *Node, call *ast.CallExpr, isGo, isDefer, cmpConv 
 		} else if isDefer {
 			kind = SeqDeferUnlock
 		}
-		n.Summary.Seq = append(n.Summary.Seq, SeqEvent{Pos: call.Pos(), Kind: kind, Key: key})
+		n.Summary.Seq = append(n.Summary.Seq, SeqEvent{Pos: call.Pos(), Kind: kind, Key: key, Expr: types.ExprString(recv)})
 		return
 	}
 
@@ -210,13 +253,10 @@ func (p *Program) visitCall(n *Node, call *ast.CallExpr, isGo, isDefer, cmpConv 
 	}
 
 	// Package-level function references: stdlib facts or module edges.
+	if kind, desc, ok := nondeterministic(info, call.Fun); ok {
+		addFact(call.Pos(), kind, desc)
+	}
 	if pkgPath, name, ok := lintutil.PkgFuncRef(info, call.Fun); ok {
-		switch {
-		case pkgPath == "time" && nodeterminism.WallClock[name]:
-			addFact(call.Pos(), FactWallClock, "time."+name)
-		case pkgPath == "math/rand" && nodeterminism.GlobalRand[name]:
-			addFact(call.Pos(), FactGlobalRand, "rand."+name)
-		}
 		if byName, ok := allocFuncs[pkgPath]; ok && byName[name] {
 			addFact(call.Pos(), FactAlloc, pkgPath+"."+name)
 		}
@@ -250,6 +290,28 @@ func (p *Program) visitCall(n *Node, call *ast.CallExpr, isGo, isDefer, cmpConv 
 		if !isGo && !isDefer {
 			n.Summary.Seq = append(n.Summary.Seq, SeqEvent{Pos: call.Pos(), Kind: SeqCall, Edge: edge})
 		}
+	}
+}
+
+// nondeterministic classifies a reference to a wall-clock or
+// global-rand function, describing it as "time.Now" or "rand.Intn".
+func nondeterministic(info *types.Info, e ast.Expr) (FactKind, string, bool) {
+	pkgPath, name, ok := lintutil.PkgFuncRef(info, e)
+	switch {
+	case !ok:
+	case pkgPath == "time" && wallClock[name]:
+		return FactWallClock, "time." + name, true
+	case pkgPath == "math/rand" && globalRand[name]:
+		return FactGlobalRand, "rand." + name, true
+	}
+	return 0, "", false
+}
+
+// recordRef records sel as a Ref when it names a wall-clock or
+// global-rand function.
+func (p *Program) recordRef(pkg *loader.Package, sel *ast.SelectorExpr) {
+	if kind, desc, ok := nondeterministic(pkg.Info, sel); ok {
+		p.Refs = append(p.Refs, Ref{Pkg: pkg.Path, Fact: Fact{Pos: sel.Pos(), Kind: kind, Desc: desc}})
 	}
 }
 

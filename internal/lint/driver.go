@@ -25,7 +25,7 @@ type Finding struct {
 // Result is the outcome of one whole-repository run.
 type Result struct {
 	Fset     *token.FileSet
-	Findings []Finding // sorted by position; suppressed and kept interleaved
+	Findings []Finding // sorted by analysis.Less; suppressed and kept interleaved
 	Packages int
 	Duration time.Duration
 }
@@ -106,7 +106,9 @@ func RunRepo(root string, patterns []string, progress io.Writer) (*Result, error
 			res.Findings = append(res.Findings, Finding{Diagnostic: d, Suppressed: true})
 		}
 	}
-	sort.Slice(res.Findings, func(i, j int) bool { return res.Findings[i].Pos < res.Findings[j].Pos })
+	sort.Slice(res.Findings, func(i, j int) bool {
+		return analysis.Less(res.Findings[i].Diagnostic, res.Findings[j].Diagnostic)
+	})
 	res.Duration = time.Since(start)
 	return res, nil
 }

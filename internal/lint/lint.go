@@ -2,13 +2,14 @@
 // encode the repository's standing invariants:
 //
 //   - determinism: replay-critical packages take time and randomness
-//     only by injection (nodeterminism), and do not reach
-//     nondeterminism through calls into unconstrained packages or
-//     depend on map iteration order (transdeterminism),
+//     only by injection, do not reach nondeterminism through calls
+//     into unconstrained packages, and do not depend on map iteration
+//     order (transdeterminism, which also holds the replay-critical
+//     package list),
 //   - locking: no lock-leaking returns, no blocking under a mutex
-//     (locksafety), counter mutations stay under their mutex
-//     (metrichygiene), and the global mutex-acquisition-order graph is
-//     acyclic with no blocking reachable under a lock (lockorder),
+//     directly or through calls, and an acyclic global
+//     mutex-acquisition-order graph (lockorder); counter mutations stay
+//     under their mutex (metrichygiene),
 //   - resource hygiene: connections are closed or handed off on every
 //     path (closecheck), hot-path errors are never silently dropped
 //     (errdrop), and every goroutine has a join or cancellation path
@@ -38,9 +39,7 @@ import (
 	"proteus/internal/lint/goleak"
 	"proteus/internal/lint/hotalloc"
 	"proteus/internal/lint/lockorder"
-	"proteus/internal/lint/locksafety"
 	"proteus/internal/lint/metrichygiene"
-	"proteus/internal/lint/nodeterminism"
 	"proteus/internal/lint/transdeterminism"
 )
 
@@ -48,8 +47,6 @@ import (
 // order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		nodeterminism.Analyzer,
-		locksafety.Analyzer,
 		closecheck.Analyzer,
 		errdrop.Analyzer,
 		metrichygiene.Analyzer,

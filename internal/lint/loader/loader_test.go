@@ -69,7 +69,7 @@ func TestModule(t *testing.T) {
 	for _, want := range []string{
 		"proteus/internal/lint",
 		"proteus/internal/lint/loader",
-		"proteus/internal/lint/nodeterminism",
+		"proteus/internal/lint/transdeterminism",
 	} {
 		if !got[want] {
 			t.Errorf("./internal/lint/... missing %s (got %v)", want, paths)

@@ -1,9 +1,22 @@
-// Package lockorder defines a whole-program deadlock check over the
-// global mutex-acquisition-order graph. Every function's source-order
-// lock events (the same linear approximation locksafety uses) are
-// replayed with call edges expanded through the call graph: acquiring
-// key B — directly or anywhere in a synchronous callee — while key A
-// is held adds the order edge A -> B. A cycle in the resulting key
+// Package lockorder defines the repository's mutex checks, one
+// function at a time and across the whole program.
+//
+// Within one function it flags the two mistakes that have historically
+// produced the worst cache-fleet incidents: returning with a mutex
+// still held (a missing unlock on an error path), and blocking — on the
+// network, a channel, a sleep or a WaitGroup — while holding one. The
+// analysis is a source-order approximation, not a full control-flow
+// graph: Lock/Unlock/return/blocking events are ordered by position and
+// replayed. This accepts the repository's standard idioms (defer
+// unlock; guard-unlock-return; unlock before a blocking call) while
+// catching the plain early-return and network-under-lock bugs.
+// Conditional locking across branches can misfire; such sites carry a
+// //lint:allow lockorder directive with a justification.
+//
+// Across the program, the same replay runs with call edges expanded
+// through the call graph: acquiring key B — directly or anywhere in a
+// synchronous callee — while key A is held adds the order edge A -> B
+// to the global mutex-acquisition-order graph. A cycle in that key
 // digraph is a potential deadlock, reported once per cycle with the
 // acquisition path of every hop.
 //
@@ -14,9 +27,8 @@
 // real two-instance deadlock for zero false positives on the common
 // lock-two-shards idiom.
 //
-// The check also reports blocking operations (network I/O, channel
-// waits, WaitGroup.Wait, sleeps) reachable through a call made while a
-// mutex is held — the interprocedural completion of locksafety's
+// The check also reports blocking operations reachable through a call
+// made while a mutex is held — the interprocedural completion of the
 // direct blocking-under-lock rule.
 package lockorder
 
@@ -32,7 +44,7 @@ import (
 // Analyzer is the lockorder check.
 var Analyzer = &callgraph.Analyzer{
 	Name: "lockorder",
-	Doc:  "detect mutex acquisition-order cycles (potential deadlocks) and blocking calls reachable while a mutex is held, across the whole program",
+	Doc:  "flag returns with a mutex held and blocking operations (network, channels, sleeps) made or reached through calls under a mutex, and mutex acquisition-order cycles (potential deadlocks) across the whole program",
 	Run:  run,
 }
 
@@ -69,14 +81,23 @@ func run(prog *callgraph.Program) ([]analysis.Diagnostic, error) {
 }
 
 // replay walks one function's source-order lock events, deriving order
-// edges and blocking-under-lock findings.
+// edges, leaked-lock returns and blocking-under-lock findings.
 func replay(prog *callgraph.Program, n *callgraph.Node, addEdge func(orderEdge)) []analysis.Diagnostic {
 	seq := append([]callgraph.SeqEvent(nil), n.Summary.Seq...)
-	sort.Slice(seq, func(i, j int) bool { return seq[i].Pos < seq[j].Pos })
+	sort.SliceStable(seq, func(i, j int) bool { return seq[i].Pos < seq[j].Pos })
 
 	var out []analysis.Diagnostic
-	held := map[string]token.Pos{}
+	report := func(pos token.Pos, format string, args ...any) {
+		out = append(out, analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
+	held := map[string]token.Pos{} // by lock key; derives the order edges
 	blockReported := map[string]bool{}
+	// The intraprocedural rules key on the rendered expression, so two
+	// mutexes of one type stay distinct. Each reports once per
+	// acquisition: a finding drops the expression from its set here,
+	// never from held.
+	blockable := map[string]bool{} // held, no blocking reported since
+	leakable := map[string]bool{}  // no deferred unlock, no return reported since
 	for _, ev := range seq {
 		switch ev.Kind {
 		case callgraph.SeqLock:
@@ -86,26 +107,39 @@ func replay(prog *callgraph.Program, n *callgraph.Node, addEdge func(orderEdge))
 				}
 			}
 			held[ev.Key] = ev.Pos
+			blockable[ev.Expr] = true
+			leakable[ev.Expr] = true
 		case callgraph.SeqUnlock:
 			delete(held, ev.Key)
+			delete(blockable, ev.Expr)
+			delete(leakable, ev.Expr)
 		case callgraph.SeqDeferUnlock:
-			// Held until return; keep it in the held set.
+			// Held until return, but every return now releases it.
+			delete(leakable, ev.Expr)
+		case callgraph.SeqReturn:
+			for _, x := range sortedKeys(leakable) {
+				report(ev.Pos, "return while %s is held: unlock before returning or use defer %s.Unlock()", x, x)
+				delete(leakable, x)
+				delete(blockable, x)
+			}
+		case callgraph.SeqBlocking:
+			for _, x := range sortedKeys(blockable) {
+				report(ev.Pos, "%s while %s is held: release the mutex before blocking", ev.Desc, x)
+				delete(blockable, x)
+			}
 		case callgraph.SeqCall:
 			if len(held) == 0 || ev.Edge == nil {
 				continue
 			}
 			for _, callee := range ev.Edge.Callees {
 				if callee.Reaches(callgraph.FactBlocking) {
-					for h := range held {
+					for _, h := range sortedKeys(held) {
 						if blockReported[h] {
 							continue
 						}
 						blockReported[h] = true
-						out = append(out, analysis.Diagnostic{
-							Pos: ev.Pos,
-							Message: fmt.Sprintf("call while %s is held reaches a blocking operation: %s; release the mutex first",
-								h, prog.FactPathString(callee, callgraph.FactBlocking)),
-						})
+						report(ev.Pos, "call while %s is held reaches a blocking operation: %s; release the mutex first",
+							h, prog.FactPathString(callee, callgraph.FactBlocking))
 					}
 				}
 				for key := range callee.TransLocks() {
@@ -121,17 +155,22 @@ func replay(prog *callgraph.Program, n *callgraph.Node, addEdge func(orderEdge))
 	return out
 }
 
+// sortedKeys returns m's keys in order, so findings reported once per
+// lock come out in a fixed order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // reportCycles finds strongly connected components of the key digraph
 // and reports one finding per component, printing the acquisition path
 // of every hop of a representative cycle.
 func reportCycles(prog *callgraph.Program, edges map[[2]string][]orderEdge, succ map[string]map[string]bool) []analysis.Diagnostic {
-	keys := make([]string, 0, len(succ))
-	for k := range succ {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	sccs := condense(keys, succ)
+	sccs := condense(sortedKeys(succ), succ)
 	var out []analysis.Diagnostic
 	for _, scc := range sccs {
 		if len(scc) < 2 {
@@ -196,12 +235,7 @@ func condense(keys []string, succ map[string]map[string]bool) [][]string {
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		var ws []string
-		for w := range succ[v] {
-			ws = append(ws, w)
-		}
-		sort.Strings(ws)
-		for _, w := range ws {
+		for _, w := range sortedKeys(succ[v]) {
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
 				if lowlink[w] < lowlink[v] {
@@ -250,12 +284,7 @@ func findCycle(scc []string, succ map[string]map[string]bool) []string {
 	seen := map[string]bool{}
 	for i := 0; i < len(queue); i++ {
 		cur := queue[i]
-		var ws []string
-		for w := range succ[cur.key] {
-			ws = append(ws, w)
-		}
-		sort.Strings(ws)
-		for _, w := range ws {
+		for _, w := range sortedKeys(succ[cur.key]) {
 			if w == start && i > 0 {
 				var path []string
 				for j := i; j >= 0; j = queue[j].prev {

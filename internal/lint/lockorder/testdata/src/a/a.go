@@ -70,6 +70,17 @@ func nested() {
 	muA.Unlock()
 }
 
+// pair's two instances share one lock key but are distinct mutexes.
+type pair struct{ mu sync.Mutex }
+
+// leakBoth returns with two mutexes of one type held: one finding per
+// mutex at one position.
+func leakBoth(x, y *pair) {
+	x.mu.Lock()
+	y.mu.Lock()
+	return // want "return while x.mu is held" "return while y.mu is held"
+}
+
 // release drops the first mutex before taking the second: no edge.
 func release() {
 	muB.Lock()

@@ -22,6 +22,14 @@ func pick(n int) int {
 	return rand.Intn(n)
 }
 
+// started is a package-level wall-clock read outside the contract: no
+// finding.
+var started = time.Now()
+
+// Clock hands out the wall clock by reference. The reference is no
+// call, so calling Clock reaches no nondeterminism.
+func Clock() func() time.Time { return time.Now }
+
 // Double is deterministic; calls to it from critical code are fine.
 func Double(n int) int {
 	return 2 * n

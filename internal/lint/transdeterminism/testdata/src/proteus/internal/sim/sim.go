@@ -6,12 +6,13 @@ package sim
 
 import (
 	"sort"
+	"time"
 
 	"helper"
 )
 
 // tick launders the wall clock through an unconstrained package — the
-// loophole the per-package nodeterminism check cannot see.
+// loophole a check of direct uses alone cannot see.
 func tick() int64 {
 	return helper.Stamp() // want "call from replay-critical sim.tick reaches wall-clock nondeterminism: helper.Stamp"
 }
@@ -40,13 +41,19 @@ func sortedKeysOf(m map[string]int) []string {
 	return out
 }
 
+// clock takes a function value from a helper that only references the
+// wall clock — no finding.
+func clock() func() time.Time {
+	return helper.Clock()
+}
+
 // scale calls a deterministic helper — no finding.
 func scale(n int) int {
 	return helper.Double(n)
 }
 
 // within stays inside the replay-critical set; its callee is bound by
-// the contract itself (nodeterminism's job), so no finding here.
+// the contract itself and reported there, so no finding here.
 func within() int64 {
 	return tick()
 }

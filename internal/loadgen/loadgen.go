@@ -363,14 +363,11 @@ func (r *Runner) Run() (*Result, error) {
 				// boundary: the schedule itself is pure (seed, spec);
 				// only pacing and latency measurement touch the clock,
 				// and tests inject ManualClock for exact replay.
-				//lint:allow transdeterminism injected Clock boundary; the cmd-side implementation is the live plane's wall clock on purpose
 				cfg.Clock.WaitUntil(op.Intended)
-				//lint:allow transdeterminism injected Clock boundary; the cmd-side implementation is the live plane's wall clock on purpose
 				if lag := cfg.Clock.Now() - op.Intended; lag > st.maxLag {
 					st.maxLag = lag
 				}
 				err := cfg.Do(op)
-				//lint:allow transdeterminism injected Clock boundary; the cmd-side implementation is the live plane's wall clock on purpose
 				lat := cfg.Clock.Now() - op.Intended
 				st.issued++
 				st.record(&cfg, op, lat, err)

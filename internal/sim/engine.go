@@ -109,8 +109,8 @@ func (e *Engine) Timer(d time.Duration, fn func()) (cancel func()) {
 	return func() {}
 }
 
-// Pending returns the number of queued events (diagnostics/tests).
-func (e *Engine) Pending() int { return len(e.events) }
+// pending returns the number of queued events (tests).
+func (e *Engine) pending() int { return len(e.events) }
 
 // arity is the heap's fan-out, chosen by measurement (EXPERIMENTS.md
 // A11): at the ~1k events a closed user loop keeps pending 2 and 4 cost

@@ -67,12 +67,12 @@ func TestEngineMatchesSortedReference(t *testing.T) {
 				t.Fatalf("seed %d: by %v fired %d events, reference has %d; first difference at %d",
 					seed, until, len(fired), len(w), firstDifference(fired, w))
 			}
-			if got, wantPending := e.Pending(), len(all)-len(fired); got != wantPending {
-				t.Fatalf("seed %d: Pending = %d at %v, want %d", seed, got, until, wantPending)
+			if got, wantPending := e.pending(), len(all)-len(fired); got != wantPending {
+				t.Fatalf("seed %d: pending = %d at %v, want %d", seed, got, until, wantPending)
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: %d events never fired", seed, e.Pending())
+		if e.pending() != 0 {
+			t.Fatalf("seed %d: %d events never fired", seed, e.pending())
 		}
 	}
 }

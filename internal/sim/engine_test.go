@@ -70,8 +70,8 @@ func TestEngineHorizonStopsEvents(t *testing.T) {
 	if ran {
 		t.Fatal("event beyond horizon executed")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if e.pending() != 1 {
+		t.Fatalf("pending = %d, want 1", e.pending())
 	}
 	if e.Now() != time.Hour {
 		t.Fatalf("Now = %v", e.Now())
@@ -121,8 +121,8 @@ func TestEngineAdvance(t *testing.T) {
 	if !slices.Equal(fired, want) {
 		t.Fatalf("fired %v, want %v", fired, want)
 	}
-	if e.Now() != 10*time.Second || e.Pending() != 1 {
-		t.Fatalf("after the skip: clock %v, %d pending; want 10s, 1", e.Now(), e.Pending())
+	if e.Now() != 10*time.Second || e.pending() != 1 {
+		t.Fatalf("after the skip: clock %v, %d pending; want 10s, 1", e.Now(), e.pending())
 	}
 	e.Advance(time.Second)
 	if last := fired[len(fired)-1]; last != (firing{"late", 10*time.Second + 1}) || e.Now() != 11*time.Second {

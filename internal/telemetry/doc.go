@@ -18,7 +18,7 @@
 //   - Tracer records spans under an injected Clock with IDs drawn from
 //     a seeded generator — no wall clock, no global rand, per the
 //     repository's determinism contract (this package is on the
-//     nodeterminism replay-critical list). On the DES plane the same
+//     transdeterminism replay-critical list). On the DES plane the same
 //     seed therefore yields a byte-identical trace dump; on the live
 //     plane the boundary (cmd/proteusd) injects time.Now. Completed
 //     spans land in a bounded ring buffer.
