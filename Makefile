@@ -9,9 +9,10 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 # Minimum total statement coverage for `make cover`: 80.0 when the
 # conformance harness landed, 83.0 since the untested baseline harness
-# left cmd/proteus-bench (measured 83.5). Raise it when coverage rises;
+# left cmd/proteus-bench (measured 83.5), 84.0 since proteus-web got its
+# first test (measured 84.5, up from 84.2). Raise it when coverage rises;
 # never lower it to make a PR pass.
-COVER_MIN ?= 83.0
+COVER_MIN ?= 84.0
 
 all: build test lint
 

@@ -44,10 +44,13 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"proteus/internal/livestack"
+	"proteus/internal/loadgen"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, livestack.Start); err != nil {
 		fmt.Fprintln(os.Stderr, "proteus-loadgen:", err)
 		os.Exit(1)
 	}
@@ -82,9 +85,31 @@ type options struct {
 	format       string
 	scheduleOnly bool
 	check        bool
+
+	// What parse read out of -mix, -transition and -sweep.
+	opMix                       loadgen.Mix
+	flips                       []transition
+	sweepMin, sweepMax, sweepBy float64
 }
 
-func run(args []string, stdout io.Writer) error {
+// startFunc brings up the in-process stack behind -local.
+type startFunc func(livestack.Config) (*livestack.Stack, error)
+
+func run(args []string, stdout io.Writer, start startFunc) error {
+	o, err := parse(args, stdout)
+	if err != nil {
+		return err
+	}
+	if o.mode == "rbe" {
+		return runRBE(o, stdout)
+	}
+	return runOpen(o, stdout, start)
+}
+
+// parse reads and checks every flag. It starts nothing and touches no
+// network, so a bad flag fails before a listener opens or a page is
+// fetched.
+func parse(args []string, stdout io.Writer) (options, error) {
 	fs := flag.NewFlagSet("proteus-loadgen", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var o options
@@ -116,24 +141,67 @@ func run(args []string, stdout io.Writer) error {
 	fs.BoolVar(&o.scheduleOnly, "schedule-only", false, "open mode: print the deterministic schedule and exit without issuing load")
 	fs.BoolVar(&o.check, "check", false, "open mode: re-parse the emitted CSV and assert run invariants, exiting non-zero on failure")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return o, err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+		return o, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	switch o.format {
 	case "table", "csv", "both":
 	default:
-		return fmt.Errorf("unknown -format %q (want table, csv or both)", o.format)
+		return o, fmt.Errorf("unknown -format %q (want table, csv or both)", o.format)
 	}
 	switch o.mode {
-	case "rbe":
-		return runRBE(o, stdout)
-	case "open":
-		return runOpen(o, stdout)
+	case "rbe", "open":
 	default:
-		return fmt.Errorf("unknown -mode %q (want rbe or open)", o.mode)
+		return o, fmt.Errorf("unknown -mode %q (want rbe or open)", o.mode)
 	}
+	switch o.schedule {
+	case "poisson", "constant":
+	case "diurnal":
+		if o.speedup <= 0 {
+			return o, fmt.Errorf("-speedup must be positive, got %g", o.speedup)
+		}
+	case "trace":
+		if o.tracePath == "" {
+			return o, fmt.Errorf("-schedule trace requires -trace FILE")
+		}
+	default:
+		return o, fmt.Errorf("unknown -schedule %q (want poisson, constant, diurnal or trace)", o.schedule)
+	}
+	var err error
+	if o.opMix, err = parseMix(o.mix, o.mgetKeys); err != nil {
+		return o, err
+	}
+	if o.flips, err = parseTransitions(o.transitions); err != nil {
+		return o, err
+	}
+	if o.sweep != "" {
+		if o.schedule != "poisson" && o.schedule != "constant" {
+			return o, fmt.Errorf("-sweep requires -schedule poisson or constant, got %q", o.schedule)
+		}
+		if o.sweepMin, o.sweepMax, o.sweepBy, err = parseSweep(o.sweep); err != nil {
+			return o, err
+		}
+		if o.sweepWindow <= 0 {
+			return o, fmt.Errorf("-sweep-window must be positive, got %v", o.sweepWindow)
+		}
+	}
+	switch {
+	case o.duration <= 0:
+		return o, fmt.Errorf("-duration must be positive, got %v", o.duration)
+	case o.workers < 0:
+		return o, fmt.Errorf("-workers must not be negative, got %d", o.workers)
+	case o.zipf < 0:
+		return o, fmt.Errorf("-zipf must not be negative, got %g", o.zipf)
+	case o.local < 0:
+		return o, fmt.Errorf("-local must not be negative, got %d", o.local)
+	case o.active < 0 || (o.local > 0 && o.active > o.local):
+		return o, fmt.Errorf("-active %d out of range for -local %d", o.active, o.local)
+	case o.mode == "open" && o.local == 0 && !o.scheduleOnly && len(splitNonEmpty(o.web)) == 0:
+		return o, fmt.Errorf("at least one -web URL required (or use -local N)")
+	}
+	return o, nil
 }
 
 func splitNonEmpty(s string) []string {

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"proteus/internal/livestack"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -21,12 +23,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad schedule", []string{"-mode", "open", "-schedule-only", "-schedule", "burst"}},
 		{"trace without file", []string{"-mode", "open", "-schedule-only", "-schedule", "trace"}},
 		{"bad sweep", []string{"-mode", "open", "-local", "1", "-sweep", "10:5:1"}},
+		{"sweep on diurnal", []string{"-mode", "open", "-local", "1", "-schedule", "diurnal", "-sweep", "10:20:5"}},
 		{"bad transition", []string{"-mode", "open", "-local", "1", "-transition", "10s"}},
+		{"active beyond local", []string{"-mode", "open", "-local", "2", "-active", "3"}},
+		{"negative mix weight", []string{"-mode", "open", "-local", "1", "-mix", "get=-1"}},
+		{"no web target", []string{"-mode", "open", "-web", ","}},
 		{"positional args", []string{"extra"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// A rejected flag set must fail before any stack starts.
+			start := func(livestack.Config) (*livestack.Stack, error) {
+				t.Fatalf("run(%v) started a stack", tc.args)
+				return nil, nil
+			}
 			var out bytes.Buffer
-			if err := run(tc.args, &out); err == nil {
+			if err := run(tc.args, &out, start); err == nil {
 				t.Fatalf("run(%v) succeeded, want error", tc.args)
 			}
 		})
@@ -45,7 +56,7 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 	render := func(seed string) string {
 		var out bytes.Buffer
-		if err := run(args(seed), &out); err != nil {
+		if err := run(args(seed), &out, livestack.Start); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return out.String()
@@ -81,7 +92,7 @@ func TestOpenModeLocalCSV(t *testing.T) {
 		"-mode", "open", "-local", "2", "-rate", "100", "-duration", "900ms",
 		"-report", "300ms", "-workers", "4", "-corpus-pages", "500",
 		"-seed", "7", "-format", "csv", "-check",
-	}, &out)
+	}, &out, livestack.Start)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -130,7 +141,7 @@ func TestRBEMode(t *testing.T) {
 		"-mode", "rbe", "-web", srv.URL, "-users", "4",
 		"-duration", "700ms", "-report", "300ms",
 		"-corpus-pages", "500", "-seed", "3",
-	}, &out)
+	}, &out, livestack.Start)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

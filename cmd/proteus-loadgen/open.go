@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"proteus/internal/cluster"
 	"proteus/internal/livestack"
 	"proteus/internal/loadgen"
 	"proteus/internal/wiki"
@@ -47,8 +48,8 @@ func parseMix(s string, mgetKeys int) (loadgen.Mix, error) {
 			return m, fmt.Errorf("bad -mix entry %q (want op=weight)", part)
 		}
 		w, err := strconv.ParseFloat(part[eq+1:], 64)
-		if err != nil {
-			return m, fmt.Errorf("bad -mix weight %q: %v", part, err)
+		if err != nil || w < 0 {
+			return m, fmt.Errorf("bad -mix weight %q", part)
 		}
 		switch part[:eq] {
 		case "get":
@@ -75,9 +76,6 @@ func buildArrivals(o options, rate float64, corpus *wiki.Corpus) (loadgen.Arriva
 	case "constant":
 		return loadgen.Constant{Rate: rate}, nil
 	case "diurnal":
-		if o.speedup <= 0 {
-			return nil, fmt.Errorf("-speedup must be positive, got %g", o.speedup)
-		}
 		traceDur := time.Duration(float64(o.duration) * o.speedup)
 		var events []workload.Event
 		err := workload.Generate(workload.GenConfig{
@@ -94,9 +92,6 @@ func buildArrivals(o options, rate float64, corpus *wiki.Corpus) (loadgen.Arriva
 		}
 		return loadgen.Trace{Events: events, Speedup: o.speedup}, nil
 	case "trace":
-		if o.tracePath == "" {
-			return nil, fmt.Errorf("-schedule trace requires -trace FILE")
-		}
 		f, err := os.Open(o.tracePath)
 		if err != nil {
 			return nil, err
@@ -209,8 +204,9 @@ func (d *httpDoer) get(u string) error {
 	return nil
 }
 
-// runOpen dispatches the open-loop sub-modes.
-func runOpen(o options, stdout io.Writer) error {
+// runOpen dispatches the open-loop sub-modes; start brings up the
+// -local stack.
+func runOpen(o options, stdout io.Writer, start startFunc) error {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("proteus-loadgen: ")
 
@@ -218,23 +214,18 @@ func runOpen(o options, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("corpus: %v", err)
 	}
-	mix, err := parseMix(o.mix, o.mgetKeys)
-	if err != nil {
-		return err
-	}
-
 	if o.scheduleOnly {
-		return printSchedule(o, corpus, mix, stdout)
+		return printSchedule(o, corpus, stdout)
 	}
 
 	var targets []string
 	var lc *livestack.Stack
 	if o.local > 0 {
-		lc, err = livestack.Start(livestack.Config{
+		lc, err = start(livestack.Config{
 			Nodes:       o.local,
-			Active:      o.active,
 			CorpusPages: o.corpusPages,
 			TTL:         o.ttl,
+			Cluster:     cluster.Config{InitialActive: o.active},
 		})
 		if err != nil {
 			return err
@@ -244,9 +235,6 @@ func runOpen(o options, stdout io.Writer) error {
 		log.Printf("local cluster: %d servers (%d active) behind %s", o.local, lc.Coord.Active(), lc.URL)
 	} else {
 		targets = splitNonEmpty(o.web)
-		if len(targets) == 0 {
-			return fmt.Errorf("at least one -web URL required (or use -local N)")
-		}
 	}
 	doer := newHTTPDoer(targets, o.workers, corpus)
 
@@ -263,13 +251,13 @@ func runOpen(o options, stdout io.Writer) error {
 				return err
 			}
 		}
-		return runSweep(o, corpus, mix, doer, lc == nil, stdout)
+		return runSweep(o, corpus, doer, lc == nil, stdout)
 	}
-	return runOnce(o, corpus, mix, doer, stdout)
+	return runOnce(o, corpus, doer, stdout)
 }
 
 // baseConfig assembles the loadgen Config shared by every sub-mode.
-func baseConfig(o options, rate float64, corpus *wiki.Corpus, mix loadgen.Mix) (loadgen.Config, error) {
+func baseConfig(o options, rate float64, corpus *wiki.Corpus) (loadgen.Config, error) {
 	arrivals, err := buildArrivals(o, rate, corpus)
 	if err != nil {
 		return loadgen.Config{}, err
@@ -278,7 +266,7 @@ func baseConfig(o options, rate float64, corpus *wiki.Corpus, mix loadgen.Mix) (
 		Workers:   o.workers,
 		Duration:  o.duration,
 		Arrivals:  arrivals,
-		Mix:       mix,
+		Mix:       o.opMix,
 		Keys:      corpus,
 		ZipfAlpha: o.zipf,
 		Seed:      o.seed,
@@ -289,8 +277,8 @@ func baseConfig(o options, rate float64, corpus *wiki.Corpus, mix loadgen.Mix) (
 // printSchedule emits the deterministic schedule artifact: one line
 // per scheduled op. Two invocations with one flag set are
 // byte-identical — the property `make loadgen-smoke` diffs.
-func printSchedule(o options, corpus *wiki.Corpus, mix loadgen.Mix, stdout io.Writer) error {
-	cfg, err := baseConfig(o, o.rate, corpus, mix)
+func printSchedule(o options, corpus *wiki.Corpus, stdout io.Writer) error {
+	cfg, err := baseConfig(o, o.rate, corpus)
 	if err != nil {
 		return err
 	}
@@ -309,12 +297,9 @@ func printSchedule(o options, corpus *wiki.Corpus, mix loadgen.Mix, stdout io.Wr
 
 // runOnce is a single timed run, optionally flipping the active-server
 // count mid-load, reporting per-interval intended-start percentiles.
-func runOnce(o options, corpus *wiki.Corpus, mix loadgen.Mix, doer *httpDoer, stdout io.Writer) error {
-	transitions, err := parseTransitions(o.transitions)
-	if err != nil {
-		return err
-	}
-	cfg, err := baseConfig(o, o.rate, corpus, mix)
+func runOnce(o options, corpus *wiki.Corpus, doer *httpDoer, stdout io.Writer) error {
+	transitions := o.flips
+	cfg, err := baseConfig(o, o.rate, corpus)
 	if err != nil {
 		return err
 	}
@@ -635,21 +620,15 @@ func parseIntervalCSV(data []byte) ([]csvRow, []csvFlip, error) {
 
 // runSweep walks offered load upward, one timed window per step, and
 // reports the throughput-vs-p99 curve with the knee.
-func runSweep(o options, corpus *wiki.Corpus, mix loadgen.Mix, doer *httpDoer, warmup bool, stdout io.Writer) error {
-	if o.schedule != "poisson" && o.schedule != "constant" {
-		return fmt.Errorf("-sweep requires -schedule poisson or constant, got %q", o.schedule)
-	}
-	min, max, step, err := parseSweep(o.sweep)
-	if err != nil {
-		return err
-	}
+func runSweep(o options, corpus *wiki.Corpus, doer *httpDoer, warmup bool, stdout io.Writer) error {
+	min, max, step := o.sweepMin, o.sweepMax, o.sweepBy
 
 	if warmup {
 		// Remote target: one low-rate pass to take the edge off cold
 		// misses (the deterministic prewarm needs the -local stack).
 		warm := o
 		warm.duration = time.Second
-		if err := sweepStep(warm, min, corpus, mix, doer, nil); err != nil {
+		if err := sweepStep(warm, min, corpus, doer, nil); err != nil {
 			return fmt.Errorf("warmup: %v", err)
 		}
 	}
@@ -659,7 +638,7 @@ func runSweep(o options, corpus *wiki.Corpus, mix loadgen.Mix, doer *httpDoer, w
 		stepOpts := o
 		stepOpts.duration = o.sweepWindow
 		var res *loadgen.Result
-		if err := sweepStep(stepOpts, rate, corpus, mix, doer, &res); err != nil {
+		if err := sweepStep(stepOpts, rate, corpus, doer, &res); err != nil {
 			return fmt.Errorf("sweep at %g req/s: %v", rate, err)
 		}
 		pt := loadgen.SweepPointFromResult(rate, o.sweepWindow, res)
@@ -683,8 +662,8 @@ func runSweep(o options, corpus *wiki.Corpus, mix loadgen.Mix, doer *httpDoer, w
 
 // sweepStep runs one fixed-rate window. out, when non-nil, receives
 // the result.
-func sweepStep(o options, rate float64, corpus *wiki.Corpus, mix loadgen.Mix, doer *httpDoer, out **loadgen.Result) error {
-	cfg, err := baseConfig(o, rate, corpus, mix)
+func sweepStep(o options, rate float64, corpus *wiki.Corpus, doer *httpDoer, out **loadgen.Result) error {
+	cfg, err := baseConfig(o, rate, corpus)
 	if err != nil {
 		return err
 	}

@@ -3,13 +3,16 @@
 // Proteus placement, implements Algorithm 2 during provisioning
 // transitions, and falls back to the (simulated) database tier.
 //
-// Cache servers are given in the fixed provisioning order; an admin
-// endpoint executes provisioning decisions:
+// Cache servers are given in the fixed provisioning order; admin
+// endpoints execute provisioning decisions and drive the hot set:
 //
-//	GET  /page/<key>        fetch a page
-//	GET  /stats             web tier counters
-//	GET  /admin/active      current active server count
-//	POST /admin/active?n=3  smooth transition to 3 active servers
+//	GET  /page/<key>              fetch a page (PUT updates, DELETE invalidates)
+//	GET  /pages?keys=k1,k2        fetch a batch of pages as JSON
+//	GET  /stats                   web tier counters
+//	GET  /admin/active            current active server count
+//	POST /admin/active?n=3        smooth transition to 3 active servers
+//	GET  /admin/hot               promoted hot keys
+//	POST /admin/hot?key=k&op=...  promote or demote a key
 //
 // Usage:
 //
@@ -19,21 +22,15 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"proteus/internal/cluster"
 	"proteus/internal/core"
-	"proteus/internal/database"
 	"proteus/internal/hotkey"
-	"proteus/internal/metrics"
-	"proteus/internal/provision"
-	"proteus/internal/webtier"
-	"proteus/internal/wiki"
+	"proteus/internal/livestack"
 )
 
 func main() {
@@ -62,146 +59,46 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	addrs := splitNonEmpty(*cacheList)
-	if len(addrs) == 0 {
+	var nodes []cluster.Node
+	for _, addr := range strings.Split(*cacheList, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			nodes = append(nodes, cluster.NewRemoteNode(addr))
+		}
+	}
+	if len(nodes) == 0 {
 		log.Fatal("at least one -cache address is required")
 	}
-	if *active == 0 {
-		*active = len(addrs)
-	}
-
-	corpus, err := wiki.New(*corpusPages, wiki.DefaultPageSize)
-	if err != nil {
-		log.Fatalf("corpus: %v", err)
-	}
-	db, err := database.New(database.Config{Shards: *dbShards, Corpus: corpus})
-	if err != nil {
-		log.Fatalf("database: %v", err)
-	}
-
-	nodes := make([]cluster.Node, len(addrs))
-	for i, addr := range addrs {
-		nodes[i] = cluster.NewRemoteNode(addr)
-	}
-	cfg := cluster.Config{
-		Nodes:          nodes,
-		InitialActive:  *active,
-		TTL:            *ttl,
-		Replicas:       *replicas,
-		Backend:        backend,
-		ClientMaxConns: *cacheConns,
-		HotReplicas:    *hotReplicas,
+	cfg := livestack.Config{
+		CorpusPages: *corpusPages,
+		TTL:         *ttl,
+		Cluster: cluster.Config{
+			Nodes:          nodes,
+			InitialActive:  *active,
+			Replicas:       *replicas,
+			Backend:        backend,
+			ClientMaxConns: *cacheConns,
+			HotReplicas:    *hotReplicas,
+		},
+		DBShards:  *dbShards,
+		PieceSize: *pieceSize,
+		Autoscale: *autoscale,
+		Capacity:  *capacity,
 	}
 	if *hotReplicas > 1 {
-		cfg.HotTracker = &hotkey.TrackerConfig{
+		cfg.Cluster.HotTracker = &hotkey.TrackerConfig{
 			Window:       *hotWindow,
 			MaxHot:       *hotMax,
 			PromoteShare: *hotShare,
 		}
 	}
-	coord, err := cluster.New(cfg)
+	stack, err := livestack.Build(cfg)
 	if err != nil {
-		log.Fatalf("coordinator: %v", err)
+		log.Fatal(err)
 	}
-	defer coord.Close()
-
-	front, err := webtier.New(webtier.Config{Coordinator: coord, DB: db, PieceSize: *pieceSize})
-	if err != nil {
-		log.Fatalf("frontend: %v", err)
-	}
-
-	// Per-slot measurement window for the autoscaler.
-	var (
-		windowMu sync.Mutex
-		window   metrics.Histogram
-	)
-	measured := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		front.ServeHTTP(w, r)
-		windowMu.Lock()
-		window.Observe(time.Since(start))
-		windowMu.Unlock()
-	})
-
-	if *autoscale > 0 {
-		// The paper's evaluation policy: a 0.4 s reference under a 0.5 s
-		// delay bound.
-		policy := provision.LegacyController{
-			Reference:         400 * time.Millisecond,
-			Bound:             500 * time.Millisecond,
-			PerServerCapacity: *capacity,
-			Min:               1,
-			Max:               len(addrs),
-		}
-		sup, err := cluster.NewSupervisor(cluster.SupervisorConfig{
-			Coordinator: coord,
-			Policy:      policy,
-			Every:       *autoscale,
-			Logger:      log.Default(),
-			Sample: func() cluster.Sample {
-				windowMu.Lock()
-				defer windowMu.Unlock()
-				s := cluster.Sample{
-					Delay: window.Quantile(0.999),
-					Rate:  float64(window.Count()) / autoscale.Seconds(),
-				}
-				window.Reset()
-				return s
-			},
-		})
-		if err != nil {
-			log.Fatalf("supervisor: %v", err)
-		}
-		sup.Start()
-		defer sup.Stop()
-		log.Printf("autoscaling every %v (%s %+v)", *autoscale, policy.Name(), policy)
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/page/", measured)
-	mux.Handle("/pages", measured)
-	mux.Handle("/stats", front)
-	mux.HandleFunc("/admin/active", coord.AdminActive)
-
-	mux.HandleFunc("/admin/hot", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			for _, k := range coord.HotKeys() {
-				fmt.Fprintln(w, k)
-			}
-		case http.MethodPost:
-			key := r.URL.Query().Get("key")
-			if key == "" {
-				http.Error(w, "missing key", http.StatusBadRequest)
-				return
-			}
-			switch op := r.URL.Query().Get("op"); op {
-			case "", "promote":
-				fmt.Fprintf(w, "hot %v\n", coord.Promote(key))
-			case "demote":
-				fmt.Fprintf(w, "demoted %v\n", coord.Demote(key))
-			default:
-				http.Error(w, "bad op", http.StatusBadRequest)
-			}
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
 
 	log.Printf("serving on %s (%d cache servers, %d active, corpus %d pages)",
-		*httpAddr, len(addrs), coord.Active(), corpus.Pages())
-	if err := http.ListenAndServe(*httpAddr, mux); err != nil {
+		*httpAddr, len(nodes), stack.Coord.Active(), stack.Corpus.Pages())
+	if err := http.ListenAndServe(*httpAddr, stack.Handler); err != nil {
 		log.Fatalf("http: %v", err)
 	}
-}
-
-func splitNonEmpty(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -8,9 +8,9 @@ import (
 
 	"proteus/internal/bloom"
 	"proteus/internal/faultinject"
+	"proteus/internal/livestack/livecluster"
 	"proteus/internal/sim"
 	"proteus/internal/telemetry"
-	"proteus/internal/testutil/clustertest"
 	"proteus/internal/transition"
 	"proteus/internal/webtier"
 )
@@ -161,18 +161,19 @@ func newPlane(kind PlaneKind, opt Options, db func(key string) (string, bool)) (
 		}
 		eng := sim.NewEngine() // the coordinator's TTL timer; moves only on Advance
 		p.log = telemetry.NewEventLog(telemetry.EventLogConfig{Clock: eng.Now})
+		// check reaches the live cluster through livecluster alone, the
+		// one live-plane import its determinism contract allows, so the
+		// coordinator's settings are set as fields rather than written as
+		// a cluster.Config literal.
+		cfg := livecluster.Config{Nodes: opt.Servers, TTL: opt.TTL, Digest: digestParams(), Seed: opt.Seed}
+		cfg.Cluster.InitialActive = opt.InitialActive
+		cfg.Cluster.HotReplicas = opt.HotReplicas
+		cfg.Cluster.Backend = opt.Backend
+		cfg.Cluster.Faults = p.inj
+		cfg.Cluster.After = eng.Timer
+		cfg.Cluster.Events = p.log
 		//lint:allow transdeterminism the live plane half of the conformance harness drives real network components on purpose; determinism is enforced on the model side
-		env, err := clustertest.New(clustertest.Opts{
-			Nodes:         opt.Servers,
-			InitialActive: opt.InitialActive,
-			TTL:           opt.TTL,
-			HotReplicas:   opt.HotReplicas,
-			Backend:       opt.Backend,
-			Faults:        p.inj,
-			Seed:          opt.Seed,
-			After:         eng.Timer,
-			Events:        p.log,
-		})
+		env, err := livecluster.New(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +245,7 @@ func (p *plane) State() PlaneState {
 
 // liveNodes inspects the live plane's in-process cache servers. A
 // powered-off node has no server: no keys, an empty digest, no values.
-type liveNodes struct{ env *clustertest.Env }
+type liveNodes struct{ env *livecluster.Cluster }
 
 func (l liveNodes) Servers() int      { return len(l.env.Locals) }
 func (l liveNodes) NodeOn(i int) bool { return l.env.Locals[i].Running() }

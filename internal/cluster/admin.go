@@ -38,3 +38,33 @@ func (c *Coordinator) AdminActive(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
 }
+
+// AdminHot is the hot-key endpoint the front ends mount at /admin/hot:
+// GET lists the promoted set, POST ?key=<k>&op=promote|demote drives it
+// by hand (op defaults to promote). A vetoed promotion — an owner
+// unreachable, or HotReplicas not above Replicas — answers 200 "hot
+// false", not an error: nothing changed, and nothing was refused.
+func (c *Coordinator) AdminHot(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet:
+		for _, k := range c.HotKeys() {
+			_, _ = fmt.Fprintln(w, k)
+		}
+	case http.MethodPost:
+		key := r.URL.Query().Get("key")
+		if key == "" {
+			http.Error(w, "missing key", http.StatusBadRequest)
+			return
+		}
+		switch op := r.URL.Query().Get("op"); op {
+		case "", "promote":
+			_, _ = fmt.Fprintf(w, "hot %v\n", c.Promote(key))
+		case "demote":
+			_, _ = fmt.Fprintf(w, "demoted %v\n", c.Demote(key))
+		default:
+			http.Error(w, "bad op", http.StatusBadRequest)
+		}
+	default:
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	}
+}

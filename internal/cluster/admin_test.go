@@ -7,8 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"proteus/internal/cluster"
 	"proteus/internal/faultinject"
-	"proteus/internal/testutil/clustertest"
+	"proteus/internal/livestack/livecluster"
 	"proteus/internal/transition"
 )
 
@@ -18,7 +19,7 @@ import (
 // coordinator returns must be matchable, not a string to prefix-test.
 func TestAdminActiveDegradedFlipIsSuccess(t *testing.T) {
 	inj := faultinject.New(1)
-	env := clustertest.Start(t, clustertest.Opts{Nodes: 3, InitialActive: 3, Faults: inj})
+	env := livecluster.Start(t, livecluster.Config{Nodes: 3, Cluster: cluster.Config{Faults: inj}})
 	post := func(n string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		env.Coord.AdminActive(rec, httptest.NewRequest(http.MethodPost, "/admin/active?n="+n, nil))
@@ -67,5 +68,45 @@ func TestAdminActiveDegradedFlipIsSuccess(t *testing.T) {
 	env.Coord.AdminActive(rec, httptest.NewRequest(http.MethodGet, "/admin/active", nil))
 	if rec.Body.String() != "2\n" {
 		t.Fatalf("GET = %q, want 2", rec.Body)
+	}
+}
+
+// The hot-set endpoint: GET lists, POST promotes (the default op) or
+// demotes, a veto is "hot false" with 200, and malformed requests are
+// refused without touching the set.
+func TestAdminHot(t *testing.T) {
+	inj := faultinject.New(1)
+	env := livecluster.Start(t, livecluster.Config{Nodes: 3, Cluster: cluster.Config{HotReplicas: 2, Faults: inj}})
+	call := func(method, query string) (int, string) {
+		rec := httptest.NewRecorder()
+		env.Coord.AdminHot(rec, httptest.NewRequest(method, "/admin/hot"+query, nil))
+		return rec.Code, rec.Body.String()
+	}
+	owner := env.Coord.Epoch().Owner("k", 0)
+	for _, c := range []struct {
+		name, method, query string
+		code                int
+		body                string
+	}{
+		{"empty list", http.MethodGet, "", http.StatusOK, ""},
+		{"promote", http.MethodPost, "?key=k&op=promote", http.StatusOK, "hot true\n"},
+		{"promote by default", http.MethodPost, "?key=j", http.StatusOK, "hot true\n"},
+		{"sorted list", http.MethodGet, "", http.StatusOK, "j\nk\n"},
+		{"demote", http.MethodPost, "?key=k&op=demote", http.StatusOK, "demoted true\n"},
+		{"demote cold", http.MethodPost, "?key=k&op=demote", http.StatusOK, "demoted false\n"},
+		{"missing key", http.MethodPost, "?op=promote", http.StatusBadRequest, "missing key\n"},
+		{"bad op", http.MethodPost, "?key=k&op=pin", http.StatusBadRequest, "bad op\n"},
+		{"bad method", http.MethodPut, "?key=k", http.StatusMethodNotAllowed, "method not allowed\n"},
+		{"after refusals", http.MethodGet, "", http.StatusOK, "j\n"},
+	} {
+		if code, body := call(c.method, c.query); code != c.code || body != c.body {
+			t.Fatalf("%s: %s /admin/hot%s = %d %q, want %d %q", c.name, c.method, c.query, code, body, c.code, c.body)
+		}
+	}
+
+	// An unreachable owner vetoes the promotion: still 200, not hot.
+	inj.Partition(owner)
+	if code, body := call(http.MethodPost, "?key=k"); code != http.StatusOK || body != "hot false\n" {
+		t.Fatalf("promote with owner %d partitioned = %d %q, want 200 \"hot false\"", owner, code, body)
 	}
 }

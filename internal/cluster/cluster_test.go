@@ -12,7 +12,7 @@ import (
 )
 
 // newTestCluster builds n local nodes and a coordinator with initial
-// active servers and a manual TTL timer. It cannot use clustertest
+// active servers and a manual TTL timer. It cannot use livecluster
 // (which imports this package); testutil's leaf helpers carry the
 // shared digest parameters and timer.
 func newTestCluster(t *testing.T, n, initial int) (*Coordinator, []*LocalNode, *testutil.ManualTimer) {

@@ -135,13 +135,10 @@ var _ Node = (*LocalNode)(nil)
 
 // RemoteNode is a cache server managed outside this process (a real
 // machine whose power is switched by ops tooling, as in the paper's
-// testbed). PowerOn and PowerOff are recorded but otherwise no-ops;
-// deployments integrate real actuation by wrapping this type.
+// testbed). PowerOn and PowerOff are no-ops; deployments integrate
+// real actuation by wrapping this type.
 type RemoteNode struct {
 	addr string
-
-	mu sync.Mutex
-	on bool
 }
 
 // NewRemoteNode declares an externally managed server at addr.
@@ -150,28 +147,10 @@ func NewRemoteNode(addr string) *RemoteNode { return &RemoteNode{addr: addr} }
 // Addr implements Node.
 func (n *RemoteNode) Addr() string { return n.addr }
 
-// PowerOn implements Node (bookkeeping only).
-func (n *RemoteNode) PowerOn() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.on = true
-	return nil
-}
+// PowerOn implements Node as a no-op.
+func (n *RemoteNode) PowerOn() error { return nil }
 
-// PowerOff implements Node (bookkeeping only).
-func (n *RemoteNode) PowerOff() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.on = false
-	return nil
-}
-
-// WantOn reports the last requested power state, for ops tooling to
-// reconcile.
-func (n *RemoteNode) WantOn() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.on
-}
+// PowerOff implements Node as a no-op.
+func (n *RemoteNode) PowerOff() error { return nil }
 
 var _ Node = (*RemoteNode)(nil)

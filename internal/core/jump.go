@@ -42,8 +42,7 @@ func (j *Jump) Lookup(key string, active int) int {
 }
 
 // LookupSeeded routes key on the ring perturbed by seed; seed 0 is
-// the primary ring and agrees with Lookup (and with the stateless
-// JumpLookup).
+// the primary ring and agrees with Lookup.
 //
 //lint:hotpath jump replica-ring routing decision
 func (j *Jump) LookupSeeded(key string, seed uint64, active int) int {
@@ -54,13 +53,6 @@ func (j *Jump) LookupSeeded(key string, seed uint64, active int) int {
 		active = j.n
 	}
 	return jumpHash(PointSeeded(key, jumpSeed^seed), active)
-}
-
-// JumpLookup is the stateless primary-ring route (no fleet clamp).
-//
-//lint:hotpath stateless jump routing decision
-func JumpLookup(key string, active int) int {
-	return jumpHash(PointSeeded(key, jumpSeed), active)
 }
 
 // jumpHash is the published algorithm: a sequence of deterministic

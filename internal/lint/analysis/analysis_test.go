@@ -100,7 +100,7 @@ func TestSuppress(t *testing.T) {
 	// suppressed; s3 (no reason), s4 (other analyzer), s5 (bare), and
 	// s6 (unknown analyzer name) stay.
 	if len(kept) != 4 {
-		t.Fatalf("Suppress kept %d diagnostics, want 4", len(kept))
+		t.Fatalf("SuppressSplit kept %d diagnostics, want 4", len(kept))
 	}
 	wantLines := []int{16, 21, 26, 31}
 	for i, d := range kept {
@@ -110,7 +110,7 @@ func TestSuppress(t *testing.T) {
 	}
 	wantSuppressed := []int{6, 11}
 	if len(suppressed) != len(wantSuppressed) {
-		t.Fatalf("Suppress dropped %d diagnostics, want %d", len(suppressed), len(wantSuppressed))
+		t.Fatalf("SuppressSplit dropped %d diagnostics, want %d", len(suppressed), len(wantSuppressed))
 	}
 	for i, d := range suppressed {
 		if line := fset.Position(d.Pos).Line; line != wantSuppressed[i] {

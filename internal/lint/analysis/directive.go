@@ -44,16 +44,9 @@ func parseDirective(text string) (directive, bool) {
 	return d, true
 }
 
-// Suppress drops diagnostics covered by a well-formed //lint:allow
-// directive for their analyzer, either on the diagnostic's line or on
-// the line directly above it.
-func Suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	kept, _ := SuppressSplit(fset, files, diags)
-	return kept
-}
-
 // SuppressSplit partitions diagnostics into those that survive
-// //lint:allow filtering and those a well-formed directive suppressed.
+// //lint:allow filtering and those a well-formed directive for their
+// analyzer suppressed, on the diagnostic's line or the line above it.
 func SuppressSplit(fset *token.FileSet, files []*ast.File, diags []Diagnostic) (kept, suppressed []Diagnostic) {
 	if len(diags) == 0 {
 		return diags, nil

@@ -167,9 +167,6 @@ type Node struct {
 	locks  map[string]bool // transitive closure of acquired lock keys
 }
 
-// HasFact reports whether the function itself exhibits kind.
-func (n *Node) HasFact(kind FactKind) bool { return n.direct[kind] }
-
 // Reaches reports whether the function or anything it (transitively)
 // calls exhibits kind.
 func (n *Node) Reaches(kind FactKind) bool { return n.trans[kind] }

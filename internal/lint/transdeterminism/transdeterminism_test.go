@@ -55,7 +55,7 @@ func TestScope(t *testing.T) {
 // exception is the conformance checker's live plane, which builds the
 // real cluster on purpose (and carries a lint:allow directive for it).
 func TestReplayCriticalImportClosure(t *testing.T) {
-	const livePlane = "proteus/internal/testutil/clustertest"
+	const livePlane = "proteus/internal/livestack/livecluster"
 	for path := range transdeterminism.ReplayCritical {
 		pkg, err := build.ImportDir("../../../"+strings.TrimPrefix(path, "proteus/"), 0)
 		if err != nil {

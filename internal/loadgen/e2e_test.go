@@ -12,9 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"proteus/internal/cluster"
 	"proteus/internal/database"
+	"proteus/internal/livestack/livecluster"
 	"proteus/internal/loadgen"
-	"proteus/internal/testutil/clustertest"
 	"proteus/internal/webtier"
 	"proteus/internal/wiki"
 )
@@ -32,7 +33,7 @@ func (c *wallClock) WaitUntil(t time.Duration) {
 }
 
 // TestOpenLoopAcrossTransitions is the end-to-end battery: a
-// clustertest live plane behind the real web-tier HTTP surface takes
+// livecluster live plane behind the real web-tier HTTP surface takes
 // open-loop load while the active-server count flips n→n+1 and then
 // back n+1→n mid-run. The client must see zero errors — Proteus
 // transitions are supposed to be invisible — and the worst
@@ -43,10 +44,10 @@ func TestOpenLoopAcrossTransitions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e load test")
 	}
-	env := clustertest.Start(t, clustertest.Opts{
-		Nodes:         4,
-		InitialActive: 3,
-		TTL:           time.Minute,
+	env := livecluster.Start(t, livecluster.Config{
+		Nodes:   4,
+		TTL:     time.Minute,
+		Cluster: cluster.Config{InitialActive: 3},
 	})
 	corpus, err := wiki.New(2000, wiki.DefaultPageSize)
 	if err != nil {

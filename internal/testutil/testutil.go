@@ -7,8 +7,9 @@
 // database, workload) so that every test suite in the tree — including
 // the internal test packages of cacheserver and cluster, which sit
 // below the coordinator in the import graph — can use it without
-// creating an import cycle. Cluster bring-up helpers, which must import
-// the coordinator itself, live in the clustertest subpackage.
+// creating an import cycle. Cluster bring-up, which must import the
+// coordinator itself, lives in livestack's cluster layer
+// (internal/livestack/livecluster).
 package testutil
 
 import (
@@ -90,11 +91,4 @@ func (m *ManualTimer) Fire() {
 	for _, fn := range fns {
 		fn()
 	}
-}
-
-// Pending reports how many callbacks are waiting.
-func (m *ManualTimer) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.fns)
 }

@@ -10,14 +10,14 @@ import (
 	"sync"
 	"testing"
 
-	"proteus/internal/testutil/clustertest"
+	"proteus/internal/livestack/livecluster"
 )
 
 // warmEnv is a loopback cluster of paper-sized (4 KiB) pages with every
 // page already cached on its owner.
 func warmEnv(t *testing.T) *env {
 	t.Helper()
-	e := buildEnv(t, clustertest.Opts{Nodes: 3, InitialActive: 3}, envShape{pages: 64, pageSize: 4096})
+	e := buildEnv(t, livecluster.Config{Nodes: 3}, envShape{pages: 64, pageSize: 4096})
 	for i := 0; i < e.corpus.Pages(); i++ {
 		if _, _, err := e.front.Fetch(e.corpus.Key(i)); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestServeHTTPGetAllocs(t *testing.T) {
 // waiter); each body must match the corpus byte for byte. Run under
 // -race, the detector also sees any buffer reused while still written.
 func TestServeHTTPPooledBuffersUnderConcurrency(t *testing.T) {
-	e := buildEnv(t, clustertest.Opts{Nodes: 3, InitialActive: 3}, envShape{pages: 96, pageSize: 4096})
+	e := buildEnv(t, livecluster.Config{Nodes: 3}, envShape{pages: 96, pageSize: 4096})
 	const warm, workers, rounds = 48, 8, 3
 	for i := 0; i < warm; i++ {
 		if _, _, err := e.front.Fetch(e.corpus.Key(i)); err != nil {

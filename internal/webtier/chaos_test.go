@@ -5,8 +5,8 @@ import (
 
 	"proteus/internal/cluster"
 	"proteus/internal/faultinject"
+	"proteus/internal/livestack/livecluster"
 	"proteus/internal/testutil"
-	"proteus/internal/testutil/clustertest"
 	"proteus/internal/wiki"
 )
 
@@ -38,7 +38,7 @@ func newChaosEnv(t *testing.T, seed int64) *chaosEnv {
 		faultinject.Rule{Server: crashedServer, Op: faultinject.OpTransition, Kind: faultinject.KindCrash, At: 1},
 	)
 	e := buildEnv(t,
-		clustertest.Opts{Nodes: 4, InitialActive: 4, Replicas: 2, Faults: inj, Seed: seed},
+		livecluster.Config{Nodes: 4, Cluster: cluster.Config{Replicas: 2, Faults: inj}, Seed: seed},
 		envShape{pages: 400})
 	return &chaosEnv{coord: e.coord, front: e.front, corpus: e.corpus, timer: e.timer, inj: inj}
 }

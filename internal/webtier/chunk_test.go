@@ -5,7 +5,8 @@ import (
 	"testing"
 
 	"proteus/internal/chunk"
-	"proteus/internal/testutil/clustertest"
+	"proteus/internal/cluster"
+	"proteus/internal/livestack/livecluster"
 )
 
 // newChunkedEnv builds an environment with big pages and the piece
@@ -13,7 +14,7 @@ import (
 func newChunkedEnv(t *testing.T, nodes, active, pieceSize int) *env {
 	t.Helper()
 	return buildEnv(t,
-		clustertest.Opts{Nodes: nodes, InitialActive: active},
+		livecluster.Config{Nodes: nodes, Cluster: cluster.Config{InitialActive: active}},
 		// Big pages: ~4 pieces each at 2 KB.
 		envShape{pages: 60, pageSize: 8192, pieceSize: pieceSize})
 }

@@ -3,8 +3,9 @@ package webtier
 import (
 	"testing"
 
+	"proteus/internal/cluster"
 	"proteus/internal/hotkey"
-	"proteus/internal/testutil/clustertest"
+	"proteus/internal/livestack/livecluster"
 )
 
 // newHotEnv builds a cluster with hot-key replication at depth 2 and,
@@ -12,7 +13,7 @@ import (
 func newHotEnv(t *testing.T, nodes, active int, tracker *hotkey.TrackerConfig) *env {
 	t.Helper()
 	return buildEnv(t,
-		clustertest.Opts{Nodes: nodes, InitialActive: active, HotReplicas: 2, HotTracker: tracker},
+		livecluster.Config{Nodes: nodes, Cluster: cluster.Config{InitialActive: active, HotReplicas: 2, HotTracker: tracker}},
 		envShape{pages: 400})
 }
 

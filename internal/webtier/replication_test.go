@@ -3,14 +3,15 @@ package webtier
 import (
 	"testing"
 
-	"proteus/internal/testutil/clustertest"
+	"proteus/internal/cluster"
+	"proteus/internal/livestack/livecluster"
 )
 
 // newReplicatedEnv builds a cluster with r-way replication enabled.
 func newReplicatedEnv(t *testing.T, nodes, active, replicas int) *env {
 	t.Helper()
 	return buildEnv(t,
-		clustertest.Opts{Nodes: nodes, InitialActive: active, Replicas: replicas},
+		livecluster.Config{Nodes: nodes, Cluster: cluster.Config{InitialActive: active, Replicas: replicas}},
 		envShape{pages: 400})
 }
 

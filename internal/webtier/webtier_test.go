@@ -10,8 +10,8 @@ import (
 
 	"proteus/internal/cluster"
 	"proteus/internal/database"
+	"proteus/internal/livestack/livecluster"
 	"proteus/internal/testutil"
-	"proteus/internal/testutil/clustertest"
 	"proteus/internal/wiki"
 )
 
@@ -32,8 +32,8 @@ type envShape struct {
 
 // buildEnv is the one scaffolding path for the whole suite: corpus and
 // no-sleep database from testutil, cluster bring-up (manual transition
-// timer, optional faults) from clustertest.
-func buildEnv(t *testing.T, o clustertest.Opts, shape envShape) *env {
+// timer, optional faults) from livecluster.
+func buildEnv(t *testing.T, o livecluster.Config, shape envShape) *env {
 	t.Helper()
 	if shape.pages == 0 {
 		shape.pages = 500
@@ -43,7 +43,7 @@ func buildEnv(t *testing.T, o clustertest.Opts, shape envShape) *env {
 	}
 	corpus := testutil.NewCorpus(t, shape.pages, shape.pageSize)
 	db := testutil.NewDB(t, corpus, 3)
-	ce := clustertest.Start(t, o)
+	ce := livecluster.Start(t, o)
 	front, err := New(Config{Coordinator: ce.Coord, DB: db, PieceSize: shape.pieceSize})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func buildEnv(t *testing.T, o clustertest.Opts, shape envShape) *env {
 }
 
 func newEnv(t *testing.T, nodes, active int) *env {
-	return buildEnv(t, clustertest.Opts{Nodes: nodes, InitialActive: active}, envShape{})
+	return buildEnv(t, livecluster.Config{Nodes: nodes, Cluster: cluster.Config{InitialActive: active}}, envShape{})
 }
 
 func TestNewValidation(t *testing.T) {
@@ -220,7 +220,7 @@ func TestDatabaseShieldedDuringTransition(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	// Paper-sized pages, so the response is over net/http's 2 KiB
 	// pre-chunking buffer like the pages the live stack serves.
-	e := buildEnv(t, clustertest.Opts{Nodes: 2, InitialActive: 2}, envShape{pageSize: 4096})
+	e := buildEnv(t, livecluster.Config{Nodes: 2}, envShape{pageSize: 4096})
 	srv := httptest.NewServer(e.front)
 	defer srv.Close()
 
