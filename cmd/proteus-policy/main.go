@@ -87,7 +87,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var rows []row
+	// Every (trace, policy) run is independent: build them all, then run
+	// them side by side. Each run gets its own policy instance.
+	type label struct{ trace, policy string }
+	var labels []label
+	var cfgs []sim.Config
 	for _, traceName := range splitList(*traceList) {
 		curve, err := traceCurve(traceName, *meanRPS, *duration)
 		if err != nil {
@@ -124,12 +128,17 @@ func run(args []string, stdout io.Writer) error {
 				return err
 			}
 			cfg.Policy = policy
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", traceName, policyName, err)
-			}
-			rows = append(rows, summarize(traceName, policyName, res, *bound))
+			labels = append(labels, label{traceName, policyName})
+			cfgs = append(cfgs, cfg)
 		}
+	}
+	results, err := sim.RunAll(cfgs...)
+	if err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	rows := make([]row, len(results))
+	for i, res := range results {
+		rows[i] = summarize(labels[i].trace, labels[i].policy, res, *bound)
 	}
 	markPareto(rows)
 

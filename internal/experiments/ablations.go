@@ -35,19 +35,6 @@ func AblationDigest(scale Scale) (*DigestAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := func(scenario sim.Scenario, noDigest bool) (sim.Config, error) {
-		cfg := sim.NewConfig(scenario, corpus, scale.Duration, scale.MeanRPS)
-		cfg.SlotWidth = scale.SlotWidth
-		cfg.CachePagesPerServer = scale.CachePagesPerServer
-		cfg.Seed = scale.Seed
-		cfg.Warmup = scale.Duration / 8
-		cfg.TTL = 2 * scale.SlotWidth
-		cfg.BootDelay = scale.SlotWidth / 16
-		cfg.LatencySlots = 96
-		cfg.PowerEvery = scale.Duration / 96
-		cfg.DisableDigest = noDigest
-		return cfg, nil
-	}
 	cases := []struct {
 		name     string
 		scenario sim.Scenario
@@ -58,17 +45,19 @@ func AblationDigest(scale Scale) (*DigestAblationResult, error) {
 		{"Proteus", sim.ScenarioProteus, false},
 		{"Static", sim.ScenarioStatic, false},
 	}
-	out := &DigestAblationResult{Scale: scale}
+	var cfgs []sim.Config
 	for _, c := range cases {
-		cfg, err := build(c.scenario, c.noDigest)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", c.name, err)
-		}
-		out.Names = append(out.Names, c.name)
+		cfg := scale.config(c.scenario, corpus)
+		cfg.DisableDigest = c.noDigest
+		cfgs = append(cfgs, cfg)
+	}
+	results, err := sim.RunAll(cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: digest ablation: %w", err)
+	}
+	out := &DigestAblationResult{Scale: scale}
+	for i, res := range results {
+		out.Names = append(out.Names, cases[i].name)
 		out.WorstP999 = append(out.WorstP999, worstQuantile(res, 0.999))
 		out.DBQueries = append(out.DBQueries, res.Stats.DBQueries)
 		out.Migrations = append(out.Migrations, res.Stats.MigratedOnDemand)
@@ -120,22 +109,18 @@ func AblationTTL(scale Scale) (*TTLAblationResult, error) {
 		return nil, err
 	}
 	out := &TTLAblationResult{Scale: scale}
+	var cfgs []sim.Config
 	for _, frac := range []int{16, 8, 4, 2, 1} {
-		ttl := scale.SlotWidth * 2 / time.Duration(frac)
-		cfg := sim.NewConfig(sim.ScenarioProteus, corpus, scale.Duration, scale.MeanRPS)
-		cfg.SlotWidth = scale.SlotWidth
-		cfg.CachePagesPerServer = scale.CachePagesPerServer
-		cfg.Seed = scale.Seed
-		cfg.Warmup = scale.Duration / 8
-		cfg.TTL = ttl
-		cfg.BootDelay = scale.SlotWidth / 16
-		cfg.LatencySlots = 96
-		cfg.PowerEvery = scale.Duration / 96
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: TTL ablation %v: %w", ttl, err)
-		}
-		out.TTLs = append(out.TTLs, ttl)
+		cfg := scale.config(sim.ScenarioProteus, corpus)
+		cfg.TTL = scale.SlotWidth * 2 / time.Duration(frac)
+		out.TTLs = append(out.TTLs, cfg.TTL)
+		cfgs = append(cfgs, cfg)
+	}
+	results, err := sim.RunAll(cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: TTL ablation: %w", err)
+	}
+	for _, res := range results {
 		out.WorstP999 = append(out.WorstP999, worstQuantile(res, 0.999))
 		out.CacheWh = append(out.CacheWh, res.Meter.EnergyWh("cache"))
 	}
@@ -177,18 +162,6 @@ func AblationController(scale Scale) (*ControllerAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := func() sim.Config {
-		cfg := sim.NewConfig(sim.ScenarioProteus, corpus, scale.Duration, scale.MeanRPS)
-		cfg.SlotWidth = scale.SlotWidth
-		cfg.CachePagesPerServer = scale.CachePagesPerServer
-		cfg.Seed = scale.Seed
-		cfg.Warmup = scale.Duration / 8
-		cfg.TTL = 2 * scale.SlotWidth
-		cfg.BootDelay = scale.SlotWidth / 16
-		cfg.LatencySlots = 96
-		cfg.PowerEvery = scale.Duration / 96
-		return cfg
-	}
 
 	out := &ControllerAblationResult{Scale: scale}
 	record := func(name string, res *sim.Result) {
@@ -208,14 +181,15 @@ func AblationController(scale Scale) (*ControllerAblationResult, error) {
 		out.CacheWh = append(out.CacheWh, res.Meter.EnergyWh("cache"))
 	}
 
-	planCfg := base()
-	planRes, err := sim.Run(planCfg)
+	// The controller's bound comes from the rate-plan run, so the two
+	// runs are sequential.
+	planRes, err := sim.Run(scale.config(sim.ScenarioProteus, corpus))
 	if err != nil {
 		return nil, err
 	}
 	record("rate-plan", planRes)
 
-	ctrlCfg := base()
+	ctrlCfg := scale.config(sim.ScenarioProteus, corpus)
 	// Scale the paper's 0.4s/0.5s targets to the compressed substrate:
 	// use the rate-plan run's overall tail as the bound.
 	total := planRes.Latency.Total()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"proteus/internal/sim"
 	"proteus/internal/wiki"
 )
 
@@ -85,6 +86,27 @@ func (s Scale) Corpus() (*wiki.Corpus, error) {
 // Slots returns the number of provisioning slots.
 func (s Scale) Slots() int {
 	return int((s.Duration + s.SlotWidth - 1) / s.SlotWidth)
+}
+
+// config is the configuration every scenario run of the evaluation
+// starts from: the scale's day, load, cache size and seed.
+func (s Scale) config(scenario sim.Scenario, corpus *wiki.Corpus) sim.Config {
+	cfg := sim.NewConfig(scenario, corpus, s.Duration, s.MeanRPS)
+	cfg.SlotWidth = s.SlotWidth
+	cfg.CachePagesPerServer = s.CachePagesPerServer
+	cfg.Seed = s.Seed
+	cfg.Warmup = s.Duration / 8
+	// The hot-data window must cover the users' page re-touch interval
+	// (think time x working set / pages ≈ 25 s) or hot items go cold
+	// before their first post-transition touch — on the paper's
+	// timescale TTL is minutes, far above it. A window longer than one
+	// slot is fine: a superseding provisioning decision finalizes the
+	// previous transition first.
+	cfg.TTL = 2 * s.SlotWidth
+	cfg.BootDelay = s.SlotWidth / 16
+	cfg.LatencySlots = 96
+	cfg.PowerEvery = s.Duration / 96
+	return cfg
 }
 
 func (s Scale) validate() error {

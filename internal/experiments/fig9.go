@@ -17,7 +17,7 @@ type ScenarioRuns struct {
 	Results []*sim.Result // in Scenarios() order
 }
 
-// RunScenarios executes all four scenarios.
+// RunScenarios executes all four scenarios, side by side (sim.RunAll).
 func RunScenarios(scale Scale) (*ScenarioRuns, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
@@ -26,30 +26,15 @@ func RunScenarios(scale Scale) (*ScenarioRuns, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := &ScenarioRuns{Scale: scale}
+	var cfgs []sim.Config
 	for _, scenario := range sim.Scenarios() {
-		cfg := sim.NewConfig(scenario, corpus, scale.Duration, scale.MeanRPS)
-		cfg.SlotWidth = scale.SlotWidth
-		cfg.CachePagesPerServer = scale.CachePagesPerServer
-		cfg.Seed = scale.Seed
-		cfg.Warmup = scale.Duration / 8
-		// The hot-data window must cover the users' page re-touch
-		// interval (think time x working set / pages ≈ 25 s) or hot
-		// items go cold before their first post-transition touch — on
-		// the paper's timescale TTL is minutes, far above it. A window
-		// longer than one slot is fine: a superseding provisioning
-		// decision finalizes the previous transition first.
-		cfg.TTL = 2 * scale.SlotWidth
-		cfg.BootDelay = scale.SlotWidth / 16
-		cfg.LatencySlots = 96
-		cfg.PowerEvery = scale.Duration / 96
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %v: %w", scenario, err)
-		}
-		runs.Results = append(runs.Results, res)
+		cfgs = append(cfgs, scale.config(scenario, corpus))
 	}
-	return runs, nil
+	results, err := sim.RunAll(cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: scenario runs: %w", err)
+	}
+	return &ScenarioRuns{Scale: scale, Results: results}, nil
 }
 
 // Result returns the run for a scenario.

@@ -38,33 +38,23 @@ func AblationReplication(scale Scale) (*ReplicationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := func() sim.Config {
-		cfg := sim.NewConfig(sim.ScenarioProteus, corpus, scale.Duration, scale.MeanRPS)
-		cfg.SlotWidth = scale.SlotWidth
-		cfg.CachePagesPerServer = scale.CachePagesPerServer
-		cfg.Seed = scale.Seed
-		cfg.Warmup = scale.Duration / 8
-		cfg.TTL = 2 * scale.SlotWidth
-		cfg.BootDelay = scale.SlotWidth / 16
-		cfg.LatencySlots = 96
-		cfg.PowerEvery = scale.Duration / 96
-		return cfg
-	}
-
-	noCrash, err := sim.Run(base())
-	if err != nil {
-		return nil, err
-	}
-	out := &ReplicationResult{Scale: scale, BaselineDB: noCrash.Stats.DBQueries}
-	for _, r := range []int{1, 2, 3} {
-		cfg := base()
+	// The crash-free r=1 baseline first, then one crashed run per r.
+	cfgs := []sim.Config{scale.config(sim.ScenarioProteus, corpus)}
+	replicas := []int{1, 2, 3}
+	for _, r := range replicas {
+		cfg := scale.config(sim.ScenarioProteus, corpus)
 		cfg.Replicas = r
 		cfg.CrashAt = scale.Duration / 2
 		cfg.CrashServer = 2
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replication r=%d: %w", r, err)
-		}
+		cfgs = append(cfgs, cfg)
+	}
+	results, err := sim.RunAll(cfgs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: replication: %w", err)
+	}
+	out := &ReplicationResult{Scale: scale, BaselineDB: results[0].Stats.DBQueries}
+	for i, r := range replicas {
+		res := results[i+1]
 		out.Replicas = append(out.Replicas, r)
 		out.DBQueries = append(out.DBQueries, res.Stats.DBQueries)
 		extra := uint64(0)

@@ -15,6 +15,7 @@ import (
 // baseline given one of them must fail loudly instead of running its
 // Table II scheme unchanged.
 func TestProteusOnlySettingsRejectedOnBaselines(t *testing.T) {
+	t.Parallel()
 	corpus := testutil.NewCorpus(t, 1000, 64)
 	settings := []struct {
 		name        string
@@ -47,6 +48,7 @@ func TestProteusOnlySettingsRejectedOnBaselines(t *testing.T) {
 // the power-offs are exactly the scale-down victims, and no request
 // ever sees an open window.
 func TestBaselineTimeline(t *testing.T) {
+	t.Parallel()
 	for _, scenario := range []Scenario{ScenarioNaive, ScenarioConsistent} {
 		t.Run(scenario.String(), func(t *testing.T) {
 			cfg := testConfig(t, scenario)

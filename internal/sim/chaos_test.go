@@ -25,6 +25,7 @@ func chaosConfig(t testing.TB, seed int64) (Config, *faultinject.Injector) {
 // run completes, replicas serve through the crash, and the injected
 // faults show up as extra database load rather than failures.
 func TestChaosCrashMidTransitionDES(t *testing.T) {
+	t.Parallel()
 	cfg, inj := chaosConfig(t, 42)
 	res, err := Run(cfg)
 	if err != nil {
@@ -66,16 +67,13 @@ func TestChaosDeterministicDES(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double chaos run")
 	}
-	run := func() (Stats, []faultinject.Event) {
-		cfg, inj := chaosConfig(t, 7)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats, inj.Events()
-	}
-	s1, ev1 := run()
-	s2, ev2 := run()
+	t.Parallel()
+	a, b := runTwice(t, func() Config {
+		cfg, _ := chaosConfig(t, 7)
+		return cfg
+	})
+	s1, ev1 := a.Stats, a.Config.Faults.Events()
+	s2, ev2 := b.Stats, b.Config.Faults.Events()
 	if s1 != s2 {
 		t.Fatalf("stats diverged across identical seeds:\n%+v\n%+v", s1, s2)
 	}

@@ -10,6 +10,7 @@ import (
 // Controller mode: the realized plan must track the diurnal curve and
 // stay within bounds, and the run must stay deterministic.
 func TestControllerModeTracksLoad(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.Policy = legacyControllerForTest(cfg)
 	res, err := Run(cfg)
@@ -53,16 +54,12 @@ func TestControllerModeTracksLoad(t *testing.T) {
 }
 
 func TestControllerModeDeterministic(t *testing.T) {
-	run := func() *Result {
+	t.Parallel()
+	a, b := runTwice(t, func() Config {
 		cfg := testConfig(t, ScenarioProteus)
 		cfg.Policy = legacyControllerForTest(cfg)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
+		return cfg
+	})
 	if a.Stats != b.Stats {
 		t.Fatalf("controller runs not deterministic:\n%+v\n%+v", a.Stats, b.Stats)
 	}
@@ -75,6 +72,7 @@ func TestControllerModeDeterministic(t *testing.T) {
 
 // Digest ablation flag: transitions happen but no migrations do.
 func TestDisableDigest(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.DisableDigest = true
 	res, err := Run(cfg)

@@ -16,6 +16,7 @@ import (
 // and checks the firing order against the definition: ascending
 // (time after clamping, scheduling order).
 func TestEngineMatchesSortedReference(t *testing.T) {
+	t.Parallel()
 	type scheduled struct {
 		at time.Duration // after the clamp to now
 		id int           // scheduling order

@@ -9,6 +9,7 @@ import (
 )
 
 func TestEngineOrdering(t *testing.T) {
+	t.Parallel()
 	e := NewEngine()
 	var order []int
 	e.At(3*time.Second, func() { order = append(order, 3) })
@@ -24,6 +25,7 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineFIFOTieBreak(t *testing.T) {
+	t.Parallel()
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 10; i++ {
@@ -39,6 +41,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
+	t.Parallel()
 	e := NewEngine()
 	var at []time.Duration
 	e.At(time.Second, func() {
@@ -51,6 +54,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 }
 
 func TestEnginePastSchedulingClamps(t *testing.T) {
+	t.Parallel()
 	e := NewEngine()
 	fired := time.Duration(-1)
 	e.At(10*time.Second, func() {
@@ -63,6 +67,7 @@ func TestEnginePastSchedulingClamps(t *testing.T) {
 }
 
 func TestEngineHorizonStopsEvents(t *testing.T) {
+	t.Parallel()
 	e := NewEngine()
 	ran := false
 	e.At(2*time.Hour, func() { ran = true })
@@ -79,6 +84,7 @@ func TestEngineHorizonStopsEvents(t *testing.T) {
 }
 
 func TestEngineClock(t *testing.T) {
+	t.Parallel()
 	e := NewEngine()
 	clock := e.Clock()
 	t0 := clock()
@@ -94,6 +100,7 @@ func TestEngineClock(t *testing.T) {
 // schedules inside the skip fire in the same skip, and the clock ends at
 // the skip's end with later events left pending.
 func TestEngineAdvance(t *testing.T) {
+	t.Parallel()
 	e := NewEngine()
 	type firing struct {
 		name string
@@ -131,6 +138,7 @@ func TestEngineAdvance(t *testing.T) {
 }
 
 func TestServiceQueueSingleServer(t *testing.T) {
+	t.Parallel()
 	q := newServiceQueue(1)
 	// Three jobs of 10ms arriving together: completions at 10/20/30ms.
 	for i, want := range []time.Duration{10, 20, 30} {
@@ -151,6 +159,7 @@ func TestServiceQueueSingleServer(t *testing.T) {
 }
 
 func TestServiceQueueParallelism(t *testing.T) {
+	t.Parallel()
 	q := newServiceQueue(2)
 	// Four 10ms jobs on 2 executors: done at 10,10,20,20.
 	done := []time.Duration{
@@ -168,6 +177,7 @@ func TestServiceQueueParallelism(t *testing.T) {
 }
 
 func TestPlanProvisioningShape(t *testing.T) {
+	t.Parallel()
 	rate := workload.DefaultDiurnal(200, 24*time.Hour)
 	plan := PlanProvisioning(rate, 24*time.Hour, 30*time.Minute, rate.Mean/7.5, 1, 10)
 	if len(plan) != 48 {

@@ -25,6 +25,7 @@ func (shedder) Decide(s provision.State) provision.Target {
 // window is still open at the next slot boundary, so consecutive sheds
 // must be deferred — and no shrink transition may ever begin mid-drain.
 func TestPolicyScaleDownGatedWhileDraining(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.TTL = 2 * cfg.SlotWidth
 	cfg.Policy = shedder{}
@@ -49,7 +50,8 @@ func TestPolicyScaleDownGatedWhileDraining(t *testing.T) {
 // the realized plan tracks the curve, decisions are logged, and the run
 // stays deterministic.
 func TestPolicyModeDelayFeedback(t *testing.T) {
-	run := func() *Result {
+	t.Parallel()
+	res, other := runTwice(t, func() Config {
 		cfg := testConfig(t, ScenarioProteus)
 		cfg.Telemetry = true
 		cfg.Policy = provision.NewDelayFeedbackConfig(provision.FeedbackConfig{
@@ -60,13 +62,8 @@ func TestPolicyModeDelayFeedback(t *testing.T) {
 			Max:               cfg.CacheServers,
 			SlotWidth:         cfg.SlotWidth,
 		})
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	res := run()
+		return cfg
+	})
 	slots := int((res.Config.Duration + res.Config.SlotWidth - 1) / res.Config.SlotWidth)
 	if len(res.Plan) != slots {
 		t.Fatalf("realized plan has %d slots, want %d", len(res.Plan), slots)
@@ -90,7 +87,6 @@ func TestPolicyModeDelayFeedback(t *testing.T) {
 		t.Errorf("%d provision_decision events, want %d", got, slots-1)
 	}
 
-	other := run()
 	if res.Stats != other.Stats {
 		t.Fatalf("policy runs not deterministic:\n%+v\n%+v", res.Stats, other.Stats)
 	}

@@ -6,6 +6,7 @@ import (
 )
 
 func TestReplicatedRunServesFromReplicas(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.Replicas = 2
 	res, err := Run(cfg)
@@ -21,6 +22,7 @@ func TestReplicatedRunServesFromReplicas(t *testing.T) {
 }
 
 func TestUnreplicatedHasNoReplicaHits(t *testing.T) {
+	t.Parallel()
 	res, err := Run(testConfig(t, ScenarioProteus))
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +36,7 @@ func TestUnreplicatedHasNoReplicaHits(t *testing.T) {
 // load increase; with replication the surviving copies absorb most of
 // it.
 func TestCrashAbsorbedByReplication(t *testing.T) {
+	t.Parallel()
 	base := func() Config {
 		cfg := testConfig(t, ScenarioProteus)
 		cfg.CrashAt = cfg.Duration / 2
@@ -71,6 +74,7 @@ func TestCrashAbsorbedByReplication(t *testing.T) {
 }
 
 func TestCrashOnInactiveServerIsNoop(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.CrashAt = time.Second
 	cfg.CrashServer = cfg.CacheServers - 1 // likely off at the valley start
@@ -80,16 +84,13 @@ func TestCrashOnInactiveServerIsNoop(t *testing.T) {
 }
 
 func TestReplicatedDeterministic(t *testing.T) {
-	run := func() Stats {
+	t.Parallel()
+	a, b := runTwice(t, func() Config {
 		cfg := testConfig(t, ScenarioProteus)
 		cfg.Replicas = 2
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("replicated runs differ:\n%+v\n%+v", a, b)
+		return cfg
+	})
+	if a.Stats != b.Stats {
+		t.Fatalf("replicated runs differ:\n%+v\n%+v", a.Stats, b.Stats)
 	}
 }

@@ -33,6 +33,7 @@ func runScenario(t testing.TB, scenario Scenario) *Result {
 }
 
 func TestRunValidation(t *testing.T) {
+	t.Parallel()
 	if _, err := Run(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
@@ -43,6 +44,7 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestStaticScenarioBasics(t *testing.T) {
+	t.Parallel()
 	res := runScenario(t, ScenarioStatic)
 	if res.Stats.Requests == 0 {
 		t.Fatal("no requests simulated")
@@ -61,6 +63,7 @@ func TestStaticScenarioBasics(t *testing.T) {
 }
 
 func TestDynamicPlanVaries(t *testing.T) {
+	t.Parallel()
 	res := runScenario(t, ScenarioProteus)
 	min, max := res.Plan[0], res.Plan[0]
 	for _, n := range res.Plan {
@@ -80,6 +83,7 @@ func TestDynamicPlanVaries(t *testing.T) {
 }
 
 func TestProteusMigratesOnDemand(t *testing.T) {
+	t.Parallel()
 	res := runScenario(t, ScenarioProteus)
 	if res.Stats.MigratedOnDemand == 0 {
 		t.Fatal("no on-demand migrations during transitions")
@@ -95,6 +99,7 @@ func TestProteusMigratesOnDemand(t *testing.T) {
 // that Proteus eliminates. Compare worst-slot p99.9 across scenarios
 // under the identical plan and workload.
 func TestProteusEliminatesDelaySpike(t *testing.T) {
+	t.Parallel()
 	worst := func(res *Result) time.Duration {
 		var w time.Duration
 		for _, q := range res.Latency.Quantiles(0.999) {
@@ -120,6 +125,7 @@ func TestProteusEliminatesDelaySpike(t *testing.T) {
 // Proteus must save about as much as Naive (it keeps servers on only
 // TTL longer).
 func TestEnergySavings(t *testing.T) {
+	t.Parallel()
 	static := runScenario(t, ScenarioStatic)
 	naive := runScenario(t, ScenarioNaive)
 	proteus := runScenario(t, ScenarioProteus)
@@ -151,6 +157,7 @@ func TestEnergySavings(t *testing.T) {
 // Load balance (Fig. 5): Proteus and Naive stay balanced across slots;
 // Consistent (random virtual nodes) balances worse.
 func TestLoadBalanceAcrossSlots(t *testing.T) {
+	t.Parallel()
 	worstRatio := func(res *Result) float64 {
 		worst := 1.0
 		for s := 1; s < res.Load.Slots(); s++ { // skip slot 0 (warmup edge)
@@ -175,6 +182,7 @@ func TestLoadBalanceAcrossSlots(t *testing.T) {
 }
 
 func TestResultSeriesShapes(t *testing.T) {
+	t.Parallel()
 	res := runScenario(t, ScenarioProteus)
 	if res.Latency.Slots() != 96 {
 		t.Fatalf("latency slots = %d", res.Latency.Slots())
@@ -197,8 +205,8 @@ func TestResultSeriesShapes(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	a := runScenario(t, ScenarioProteus)
-	b := runScenario(t, ScenarioProteus)
+	t.Parallel()
+	a, b := runTwice(t, func() Config { return testConfig(t, ScenarioProteus) })
 	if a.Stats != b.Stats {
 		t.Fatalf("same seed, different stats:\n%+v\n%+v", a.Stats, b.Stats)
 	}

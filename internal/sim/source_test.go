@@ -6,6 +6,7 @@ import (
 )
 
 func TestSourceLatencyBreakdown(t *testing.T) {
+	t.Parallel()
 	res := runScenario(t, ScenarioProteus)
 	hit := res.SourceLatency(SourceHit)
 	mig := res.SourceLatency(SourceMigrated)
@@ -40,6 +41,7 @@ func TestSourceLatencyBreakdown(t *testing.T) {
 }
 
 func TestSourceStrings(t *testing.T) {
+	t.Parallel()
 	if SourceHit.String() != "cache-hit" || SourceMigrated.String() != "migrated" || SourceDB.String() != "database" {
 		t.Fatal("source names wrong")
 	}

@@ -10,6 +10,7 @@ import (
 // TestTelemetryDisabledByDefault: the DES plane pays nothing for
 // telemetry unless the scenario asks for it.
 func TestTelemetryDisabledByDefault(t *testing.T) {
+	t.Parallel()
 	res := runScenario(t, ScenarioProteus)
 	if res.Tracer != nil || res.Events != nil {
 		t.Fatal("telemetry populated without Config.Telemetry")
@@ -21,6 +22,7 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 // the per-transition migration counts must reproduce the Fig. 9-style
 // amortized-migration accounting exactly.
 func TestTelemetryEventAccounting(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.Telemetry = true
 	res, err := Run(cfg)
@@ -71,13 +73,13 @@ func TestTelemetryEventAccounting(t *testing.T) {
 // byte-identical trace and event streams — the tracer and event log are
 // inside the replay-critical boundary.
 func TestTelemetryDeterministic(t *testing.T) {
-	run := func() (trace, events []byte) {
+	t.Parallel()
+	a, b := runTwice(t, func() Config {
 		cfg := testConfig(t, ScenarioProteus)
 		cfg.Telemetry = true
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		return cfg
+	})
+	streams := func(res *Result) (trace, events []byte) {
 		var tb, eb bytes.Buffer
 		if err := res.Tracer.WriteJSON(&tb); err != nil {
 			t.Fatal(err)
@@ -87,8 +89,8 @@ func TestTelemetryDeterministic(t *testing.T) {
 		}
 		return tb.Bytes(), eb.Bytes()
 	}
-	t1, e1 := run()
-	t2, e2 := run()
+	t1, e1 := streams(a)
+	t2, e2 := streams(b)
 	if !bytes.Equal(t1, t2) {
 		t.Error("same-seed runs produced different trace streams")
 	}

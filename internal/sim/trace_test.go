@@ -28,6 +28,7 @@ func buildTrace(t testing.TB, cfg Config) []workload.Event {
 }
 
 func TestOpenLoopTraceReplay(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	trace := buildTrace(t, cfg)
 	cfg.Trace = trace
@@ -58,17 +59,12 @@ func TestOpenLoopTraceReplay(t *testing.T) {
 }
 
 func TestOpenLoopDeterministic(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioNaive)
 	cfg.Trace = buildTrace(t, cfg)
-	run := func() Stats {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("open-loop runs differ:\n%+v\n%+v", a, b)
+	a, b := runTwice(t, func() Config { return cfg })
+	if a.Stats != b.Stats {
+		t.Fatalf("open-loop runs differ:\n%+v\n%+v", a.Stats, b.Stats)
 	}
 }
 
@@ -76,6 +72,7 @@ func TestOpenLoopDeterministic(t *testing.T) {
 // same arrival rate keeps hammering the saturated database, so the
 // worst slot tail must exceed the closed-loop run's.
 func TestOpenLoopSpikesHarder(t *testing.T) {
+	t.Parallel()
 	worst := func(res *Result) time.Duration {
 		var w time.Duration
 		for _, q := range res.Latency.Quantiles(0.999) {
@@ -104,6 +101,7 @@ func TestOpenLoopSpikesHarder(t *testing.T) {
 // Controller mode composes with open-loop replay: the realized plan
 // still tracks the trace's load.
 func TestOpenLoopWithController(t *testing.T) {
+	t.Parallel()
 	cfg := testConfig(t, ScenarioProteus)
 	cfg.Trace = buildTrace(t, cfg)
 	cfg.Policy = legacyControllerForTest(cfg)
