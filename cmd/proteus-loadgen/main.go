@@ -139,7 +139,7 @@ func parse(args []string, stdout io.Writer) (options, error) {
 	fs.DurationVar(&o.kneeP99, "knee-p99", 50*time.Millisecond, "open mode: p99 bound defining the knee")
 	fs.StringVar(&o.format, "format", "both", "open mode output: table, csv or both")
 	fs.BoolVar(&o.scheduleOnly, "schedule-only", false, "open mode: print the deterministic schedule and exit without issuing load")
-	fs.BoolVar(&o.check, "check", false, "open mode: re-parse the emitted CSV and assert run invariants, exiting non-zero on failure")
+	fs.BoolVar(&o.check, "check", false, "open mode: assert the run invariants over the measured intervals, exiting non-zero on failure")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}

@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"proteus/internal/livestack"
+	"proteus/internal/loadgen"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -84,42 +88,130 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestOpenModeLocalCSV drives a real in-process cluster briefly and
-// checks the machine-readable output shape plus the -check invariants.
+// TestOpenModeLocalCSV drives a real in-process cluster briefly, with
+// one scale-down mid-run, and checks the machine-readable output format
+// that -check does not read: the header, seven numeric fields per row,
+// the flip comment and the summary. -check itself asserts the run
+// invariants over the measured values.
 func TestOpenModeLocalCSV(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-mode", "open", "-local", "2", "-rate", "100", "-duration", "900ms",
 		"-report", "300ms", "-workers", "4", "-corpus-pages", "500",
-		"-seed", "7", "-format", "csv", "-check",
+		"-seed", "7", "-transition", "600ms:1", "-format", "csv", "-check",
 	}, &out, livestack.Start)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
-	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if lines[0] != "interval_s,requests,errors,p50_ms,p99_ms,p999_ms,max_ms" {
-		t.Fatalf("unexpected CSV header %q", lines[0])
+	rows := csvRows(t, out.String(), "interval_s,requests,errors,p50_ms,p99_ms,p999_ms,max_ms")
+	if len(rows) < 2 {
+		t.Fatalf("only %d interval rows", len(rows))
 	}
-	dataRows, summarySeen := 0, false
-	for _, l := range lines[1:] {
-		if strings.HasPrefix(l, "# summary ") {
-			summarySeen = true
-			continue
+	flip := regexp.MustCompile(`^# flip at=600ms to=1 baseline_p99=[0-9.]+ms worst_p99=[0-9.]+ms ratio=[0-9.]+$`)
+	flipSeen, summarySeen := false, false
+	for _, l := range strings.Split(out.String(), "\n") {
+		flipSeen = flipSeen || flip.MatchString(l)
+		summarySeen = summarySeen || strings.HasPrefix(l, "# summary requests=")
+	}
+	if !flipSeen || !summarySeen {
+		t.Fatalf("flip comment seen %v, summary seen %v in:\n%s", flipSeen, summarySeen, out.String())
+	}
+}
+
+// TestSweepCSVFormat pins the sweep record: the header, one numeric row
+// per point, and a knee comment whether or not a knee was found.
+func TestSweepCSVFormat(t *testing.T) {
+	points := []loadgen.SweepPoint{
+		{Offered: 100, Achieved: 99.5, Mean: time.Millisecond, P50: time.Millisecond, P99: 2 * time.Millisecond, P999: 3 * time.Millisecond},
+		{Offered: 200, Achieved: 150, Errors: 3, Mean: 40 * time.Millisecond, P50: 30 * time.Millisecond, P99: 90 * time.Millisecond, P999: 120 * time.Millisecond},
+	}
+	for _, tc := range []struct {
+		knee int
+		want string
+	}{
+		{0, "# knee offered=100.0 achieved=99.5 p99=2.000ms bound=50.000ms"},
+		{-1, "# knee none: first point already saturated (bound=50.000ms)"},
+	} {
+		var out bytes.Buffer
+		writeSweepCSV(&out, points, tc.knee, 50*time.Millisecond)
+		if rows := csvRows(t, out.String(), "offered_rps,achieved_rps,errors,mean_ms,p50_ms,p99_ms,p999_ms"); len(rows) != len(points) {
+			t.Fatalf("knee %d: %d rows for %d points", tc.knee, len(rows), len(points))
 		}
-		if strings.HasPrefix(l, "#") {
-			continue
+		if !strings.Contains(out.String(), "\n"+tc.want+"\n") {
+			t.Fatalf("knee %d: no line %q in:\n%s", tc.knee, tc.want, out.String())
 		}
-		if got := strings.Count(l, ","); got != 6 {
-			t.Fatalf("row %q has %d commas, want 6", l, got)
+	}
+}
+
+// TestCheckRunRejects feeds checkRun results that break each run
+// invariant in turn.
+func TestCheckRunRejects(t *testing.T) {
+	good := func() *loadgen.Result {
+		res := &loadgen.Result{Issued: 3, Errors: 1}
+		res.Intervals = make([]loadgen.Interval, 2)
+		res.Intervals[1].Start = time.Second
+		res.Intervals[0].Hist.Observe(time.Millisecond)
+		res.Intervals[1].Hist.Observe(time.Millisecond)
+		res.Intervals[1].Hist.Observe(time.Millisecond)
+		res.Intervals[1].Errors = 1
+		return res
+	}
+	if err := checkRun(good(), nil, 0, false); err != nil {
+		t.Fatalf("consistent run rejected: %v", err)
+	}
+	flip := []flipReport{{tr: transition{at: time.Second, n: 1}, ratio: 3}}
+	for name, tc := range map[string]struct {
+		mutate      func(*loadgen.Result)
+		flips       []flipReport
+		maxRatio    float64
+		transitions bool
+	}{
+		"no intervals":       {mutate: func(r *loadgen.Result) { r.Intervals = nil }},
+		"starts not rising":  {mutate: func(r *loadgen.Result) { r.Intervals[1].Start = 0 }},
+		"requests mismatch":  {mutate: func(r *loadgen.Result) { r.Issued++ }},
+		"errors mismatch":    {mutate: func(r *loadgen.Result) { r.Errors++ }},
+		"errors across flip": {transitions: true},
+		"flip ratio":         {flips: flip, maxRatio: 2},
+	} {
+		res := good()
+		if tc.mutate != nil {
+			tc.mutate(res)
 		}
-		dataRows++
+		if err := checkRun(res, tc.flips, tc.maxRatio, tc.transitions); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if dataRows < 2 {
-		t.Fatalf("only %d interval rows", dataRows)
+	if err := checkRun(good(), flip, 3, false); err != nil {
+		t.Errorf("flip ratio at the bound rejected: %v", err)
 	}
-	if !summarySeen {
-		t.Fatal("no summary comment in CSV output")
+}
+
+// csvRows parses the non-comment lines of a CSV record, checks the
+// header, and checks every row has as many fields as the header, each
+// a number.
+func csvRows(t *testing.T, out, header string) [][]string {
+	t.Helper()
+	var data []string
+	for _, l := range strings.Split(out, "\n") {
+		if l != "" && !strings.HasPrefix(l, "#") {
+			data = append(data, l)
+		}
 	}
+	recs, err := csv.NewReader(strings.NewReader(strings.Join(data, "\n"))).ReadAll()
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("CSV does not parse (%v):\n%s", err, out)
+	}
+	if got := strings.Join(recs[0], ","); got != header {
+		t.Fatalf("CSV header %q, want %q", got, header)
+	}
+	for _, rec := range recs[1:] {
+		for _, f := range rec {
+			if _, err := strconv.ParseFloat(f, 64); err != nil {
+				t.Fatalf("row %v: field %q is not numeric", rec, f)
+			}
+		}
+	}
+	return recs[1:]
 }
 
 // TestRBEMode checks the preserved closed-loop emulator still runs and

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"log"
@@ -348,12 +347,12 @@ func runOnce(o options, corpus *wiki.Corpus, doer *httpDoer, stdout io.Writer) e
 		return fmt.Errorf("%d transition request(s) failed", flipErrs.Load())
 	}
 
-	var buf bytes.Buffer
 	flips := analyzeFlips(res, transitions, o.report)
-	writeIntervalCSV(&buf, res, transitions, flips)
-	emit(o, stdout, &buf, func(w io.Writer) { writeIntervalTable(w, res, transitions, flips) })
+	emit(o, stdout,
+		func(w io.Writer) { writeIntervalCSV(w, res, transitions, flips) },
+		func(w io.Writer) { writeIntervalTable(w, res, transitions, flips) })
 	if o.check {
-		if err := checkIntervalCSV(buf.Bytes(), res, o.maxP99Ratio, len(transitions) > 0); err != nil {
+		if err := checkRun(res, flips, o.maxP99Ratio, len(transitions) > 0); err != nil {
 			return fmt.Errorf("-check: %w", err)
 		}
 		log.Printf("check: ok")
@@ -481,44 +480,41 @@ func writeIntervalTable(w io.Writer, res *loadgen.Result, transitions []transiti
 		res.Hist.Quantile(0.999).Truncate(time.Microsecond), res.MaxLag.Truncate(time.Microsecond))
 }
 
-// emit writes csv and/or table per -format.
-func emit(o options, stdout io.Writer, csvBuf *bytes.Buffer, table func(io.Writer)) {
+// emit writes the CSV record and/or the table per -format.
+func emit(o options, stdout io.Writer, csv, table func(io.Writer)) {
 	switch o.format {
 	case "csv":
-		_, _ = stdout.Write(csvBuf.Bytes())
+		csv(stdout)
 	case "table":
 		table(stdout)
 	case "both":
 		table(stdout)
-		_, _ = stdout.Write(csvBuf.Bytes())
+		csv(stdout)
 	}
 }
 
-// checkIntervalCSV re-parses the emitted CSV and asserts the run's
-// invariants: every row parses, interval starts are strictly
-// increasing, row counts sum to the run total, zero client-visible
-// errors on transition runs, and (when -max-p99-ratio is set) every
-// flip window stays within the stated bound of the baseline.
-func checkIntervalCSV(data []byte, res *loadgen.Result, maxRatio float64, hadTransitions bool) error {
-	rows, flips, err := parseIntervalCSV(data)
-	if err != nil {
-		return err
+// checkRun asserts a timed run's invariants over its measured result:
+// it has intervals, their starts strictly increase, their counts and
+// errors sum to the run's totals, a run with transitions saw no
+// client-visible error, and (when maxRatio is set) every flip window
+// stays within maxRatio of the pre-flip baseline p99.
+func checkRun(res *loadgen.Result, flips []flipReport, maxRatio float64, hadTransitions bool) error {
+	if len(res.Intervals) == 0 {
+		return fmt.Errorf("no intervals")
 	}
 	var total, errs uint64
-	last := -1.0
-	for _, r := range rows {
-		if r.start <= last {
-			return fmt.Errorf("interval starts not increasing at %gs", r.start)
+	for i, iv := range res.Intervals {
+		if i > 0 && iv.Start <= res.Intervals[i-1].Start {
+			return fmt.Errorf("interval starts not increasing at %v", iv.Start)
 		}
-		last = r.start
-		total += r.requests
-		errs += r.errors
+		total += iv.Hist.Count()
+		errs += iv.Errors
 	}
 	if total != res.Issued {
-		return fmt.Errorf("interval rows sum to %d requests, run issued %d", total, res.Issued)
+		return fmt.Errorf("intervals sum to %d requests, run issued %d", total, res.Issued)
 	}
 	if errs != res.Errors {
-		return fmt.Errorf("interval rows sum to %d errors, run recorded %d", errs, res.Errors)
+		return fmt.Errorf("intervals sum to %d errors, run recorded %d", errs, res.Errors)
 	}
 	if hadTransitions && res.Errors > 0 {
 		return fmt.Errorf("%d client-visible errors across the flip", res.Errors)
@@ -526,96 +522,11 @@ func checkIntervalCSV(data []byte, res *loadgen.Result, maxRatio float64, hadTra
 	if maxRatio > 0 {
 		for _, fr := range flips {
 			if fr.ratio > maxRatio {
-				return fmt.Errorf("flip at %v: p99 ratio %.2f exceeds bound %.2f", fr.at, fr.ratio, maxRatio)
+				return fmt.Errorf("flip at %v: p99 ratio %.2f exceeds bound %.2f", fr.tr.at, fr.ratio, maxRatio)
 			}
 		}
 	}
 	return nil
-}
-
-// csvRow is one parsed interval row; csvFlip one parsed flip comment.
-type csvRow struct {
-	start            float64
-	requests, errors uint64
-}
-
-type csvFlip struct {
-	at    time.Duration
-	ratio float64
-}
-
-// parseIntervalCSV reads the interval CSV back, including flip
-// comments — the re-parse half of -check.
-func parseIntervalCSV(data []byte) ([]csvRow, []csvFlip, error) {
-	var rows []csvRow
-	var flips []csvFlip
-	var csvLines []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# flip ") {
-			var f csvFlip
-			var to int
-			var base, worst float64
-			var atStr string
-			if _, err := fmt.Sscanf(line, "# flip at=%s", &atStr); err != nil {
-				return nil, nil, fmt.Errorf("bad flip comment %q", line)
-			}
-			if _, err := fmt.Sscanf(line,
-				"# flip at="+atStr+" to=%d baseline_p99=%fms worst_p99=%fms ratio=%f",
-				&to, &base, &worst, &f.ratio); err != nil {
-				return nil, nil, fmt.Errorf("bad flip comment %q: %v", line, err)
-			}
-			at, err := time.ParseDuration(atStr)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad flip time in %q: %v", line, err)
-			}
-			f.at = at
-			flips = append(flips, f)
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		csvLines = append(csvLines, line)
-	}
-	if len(csvLines) == 0 {
-		return nil, nil, fmt.Errorf("no CSV rows")
-	}
-	cr := csv.NewReader(strings.NewReader(strings.Join(csvLines, "\n")))
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(records) < 2 {
-		return nil, nil, fmt.Errorf("CSV has header only")
-	}
-	if got := strings.Join(records[0], ","); got != "interval_s,requests,errors,p50_ms,p99_ms,p999_ms,max_ms" {
-		return nil, nil, fmt.Errorf("unexpected CSV header %q", got)
-	}
-	for _, rec := range records[1:] {
-		if len(rec) != 7 {
-			return nil, nil, fmt.Errorf("row has %d fields, want 7", len(rec))
-		}
-		var r csvRow
-		if r.start, err = strconv.ParseFloat(rec[0], 64); err != nil {
-			return nil, nil, fmt.Errorf("bad interval_s %q", rec[0])
-		}
-		if r.requests, err = strconv.ParseUint(rec[1], 10, 64); err != nil {
-			return nil, nil, fmt.Errorf("bad requests %q", rec[1])
-		}
-		if r.errors, err = strconv.ParseUint(rec[2], 10, 64); err != nil {
-			return nil, nil, fmt.Errorf("bad errors %q", rec[2])
-		}
-		for _, f := range rec[3:] {
-			if _, err := strconv.ParseFloat(f, 64); err != nil {
-				return nil, nil, fmt.Errorf("bad latency field %q", f)
-			}
-		}
-		rows = append(rows, r)
-	}
-	return rows, flips, nil
 }
 
 // runSweep walks offered load upward, one timed window per step, and
@@ -641,6 +552,11 @@ func runSweep(o options, corpus *wiki.Corpus, doer *httpDoer, warmup bool, stdou
 		if err := sweepStep(stepOpts, rate, corpus, doer, &res); err != nil {
 			return fmt.Errorf("sweep at %g req/s: %v", rate, err)
 		}
+		if o.check {
+			if err := checkRun(res, nil, 0, false); err != nil {
+				return fmt.Errorf("-check: sweep at %g req/s: %w", rate, err)
+			}
+		}
 		pt := loadgen.SweepPointFromResult(rate, o.sweepWindow, res)
 		points = append(points, pt)
 		log.Printf("sweep: offered %.0f/s achieved %.0f/s p99 %v errs %d",
@@ -648,13 +564,10 @@ func runSweep(o options, corpus *wiki.Corpus, doer *httpDoer, warmup bool, stdou
 	}
 	knee := loadgen.FindKnee(points, o.kneeP99, 0.9)
 
-	var buf bytes.Buffer
-	writeSweepCSV(&buf, points, knee, o.kneeP99)
-	emit(o, stdout, &buf, func(w io.Writer) { writeSweepTable(w, points, knee, o.kneeP99) })
+	emit(o, stdout,
+		func(w io.Writer) { writeSweepCSV(w, points, knee, o.kneeP99) },
+		func(w io.Writer) { writeSweepTable(w, points, knee, o.kneeP99) })
 	if o.check {
-		if err := checkSweepCSV(buf.Bytes(), len(points)); err != nil {
-			return fmt.Errorf("-check: %w", err)
-		}
 		log.Printf("check: ok")
 	}
 	return nil
@@ -735,44 +648,4 @@ func writeSweepTable(w io.Writer, points []loadgen.SweepPoint, knee int, bound t
 	} else {
 		fmt.Fprintf(w, "knee: none — first point already saturated (bound %v)\n", bound)
 	}
-}
-
-// checkSweepCSV re-parses the sweep CSV: header, row count, numeric
-// fields, and a knee comment present.
-func checkSweepCSV(data []byte, wantRows int) error {
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	var dataLines []string
-	kneeSeen := false
-	for _, line := range lines {
-		if strings.HasPrefix(line, "# knee") {
-			kneeSeen = true
-			continue
-		}
-		if strings.HasPrefix(line, "#") || line == "" {
-			continue
-		}
-		dataLines = append(dataLines, line)
-	}
-	if !kneeSeen {
-		return fmt.Errorf("no knee comment in sweep CSV")
-	}
-	cr := csv.NewReader(strings.NewReader(strings.Join(dataLines, "\n")))
-	records, err := cr.ReadAll()
-	if err != nil {
-		return err
-	}
-	if got := strings.Join(records[0], ","); got != "offered_rps,achieved_rps,errors,mean_ms,p50_ms,p99_ms,p999_ms" {
-		return fmt.Errorf("unexpected sweep CSV header %q", got)
-	}
-	if len(records)-1 != wantRows {
-		return fmt.Errorf("sweep CSV has %d rows, want %d", len(records)-1, wantRows)
-	}
-	for _, rec := range records[1:] {
-		for _, f := range rec {
-			if _, err := strconv.ParseFloat(f, 64); err != nil {
-				return fmt.Errorf("bad sweep field %q", f)
-			}
-		}
-	}
-	return nil
 }

@@ -11,8 +11,8 @@
 //	               [-check]
 //
 // Output is byte-identical for one seed and option set. -check exits
-// non-zero unless the CSV parses, no run issued a scale-down mid-drain,
-// and delay-feedback matched static's SLO at lower energy.
+// non-zero unless no run issued a scale-down mid-drain and
+// delay-feedback matched static's SLO at lower energy.
 package main
 
 import (
@@ -201,7 +201,7 @@ func buildPolicy(name string, cfg sim.Config, curve workload.Diurnal, reference,
 	case "rate-plan":
 		return provision.Planned{Plan: cfg.Plan, PolicyName: "rate-plan"}, nil
 	case "delay-feedback":
-		return provision.NewDelayFeedbackConfig(provision.FeedbackConfig{
+		return provision.NewDelayFeedback(provision.FeedbackConfig{
 			Reference:         reference,
 			Bound:             bound,
 			PerServerCapacity: cfg.PerServerCapacity,
@@ -321,22 +321,11 @@ func writeCSV(w io.Writer, rows []row) error {
 	return cw.Error()
 }
 
-// checkRows asserts the sweep's invariants: the CSV round-trips, no run
-// ever issued a scale-down mid-drain, and delay-feedback matched (or
-// beat) static's SLO-violation count at strictly lower energy on every
-// trace that ran both.
+// checkRows asserts the sweep's invariants: no run ever issued a
+// scale-down mid-drain, and delay-feedback matched (or beat) static's
+// SLO-violation count at strictly lower energy on every trace that ran
+// both.
 func checkRows(rows []row) error {
-	var buf strings.Builder
-	if err := writeCSV(&buf, rows); err != nil {
-		return err
-	}
-	recs, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
-	if err != nil {
-		return fmt.Errorf("check: CSV does not re-parse: %w", err)
-	}
-	if len(recs) != len(rows)+1 {
-		return fmt.Errorf("check: CSV has %d records, want %d", len(recs), len(rows)+1)
-	}
 	byTrace := map[string]map[string]row{}
 	for _, r := range rows {
 		if r.midDrain != 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,10 +42,18 @@ func TestRunCSVParsesAndCheckPasses(t *testing.T) {
 	if len(recs) != 3 { // header + 2 policies x 1 trace
 		t.Fatalf("got %d CSV records, want 3:\n%s", len(recs), out.String())
 	}
-	if recs[0][0] != "trace" || recs[0][8] != "mid_drain" {
-		t.Fatalf("unexpected header: %v", recs[0])
+	if got := strings.Join(recs[0], ","); got != "trace,policy,energy_wh,slo_violation_slots,worst_p999_ms,mean_fleet,flips,deferred,mid_drain,pareto" {
+		t.Fatalf("unexpected header: %s", got)
 	}
 	for _, rec := range recs[1:] {
+		for _, f := range rec[2:9] {
+			if _, err := strconv.ParseFloat(f, 64); err != nil {
+				t.Fatalf("%s/%s: field %q is not numeric", rec[0], rec[1], f)
+			}
+		}
+		if _, err := strconv.ParseBool(rec[9]); err != nil {
+			t.Fatalf("%s/%s: pareto %q is not a bool", rec[0], rec[1], rec[9])
+		}
 		if rec[8] != "0" {
 			t.Fatalf("mid_drain = %s for %s/%s, want 0", rec[8], rec[0], rec[1])
 		}

@@ -1,9 +1,9 @@
 // Package hotkey detects the hottest keys of a Zipf-skewed workload
 // online and carries the machinery around replicating them: a
 // space-saving top-k sketch (Metwally et al., "Efficient Computation of
-// Frequent and Top-k Elements in Data Streams"), a promotion tracker
-// with hysteresis so keys do not flap in and out of the hot set, and a
-// compact wire digest of the promoted set for cluster-wide broadcast.
+// Frequent and Top-k Elements in Data Streams") and a promotion tracker
+// with hysteresis so keys do not flap in and out of the hot set. The
+// promoted set reaches front ends in-process, through transition.Epoch.
 //
 // Algorithm 1 balances the key *space* per active prefix, but a Zipf
 // head still concentrates *load* on whichever server owns the hottest

@@ -17,13 +17,11 @@ type TrackerConfig struct {
 	// boundaries; between them the hot set is stable.
 	Window uint64
 	// PromoteShare is the minimum share of a window's observations a
-	// key needs to be promoted (default 0.01, i.e. 1%).
+	// key needs to be promoted (default 0.01, i.e. 1%). Half of it is
+	// the hysteresis floor: a promoted key is demoted only when its
+	// share falls below PromoteShare/2, so a key sitting at the
+	// threshold does not flap every window.
 	PromoteShare float64
-	// DemoteShare is the hysteresis floor: a promoted key is demoted
-	// only when its share falls below this (default PromoteShare/2).
-	// Keeping DemoteShare < PromoteShare prevents a key sitting at the
-	// threshold from flapping every window.
-	DemoteShare float64
 }
 
 func (c TrackerConfig) withDefaults() TrackerConfig {
@@ -38,9 +36,6 @@ func (c TrackerConfig) withDefaults() TrackerConfig {
 	}
 	if c.PromoteShare <= 0 {
 		c.PromoteShare = 0.01
-	}
-	if c.DemoteShare <= 0 {
-		c.DemoteShare = c.PromoteShare / 2
 	}
 	return c
 }
@@ -107,7 +102,7 @@ func (t *Tracker) decide() []Change {
 	// floor, or when it lost its counter entirely.
 	for _, key := range sortedKeys(t.hot) {
 		est, err, tracked := t.sketch.Count(key)
-		if tracked && float64(est-err)/total >= t.cfg.DemoteShare {
+		if tracked && float64(est-err)/total >= t.cfg.PromoteShare/2 {
 			continue
 		}
 		delete(t.hot, key)

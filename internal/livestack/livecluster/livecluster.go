@@ -36,9 +36,6 @@ type Config struct {
 	// TTL is the hot-data window, one minute when zero; it is the
 	// coordinator's TTL.
 	TTL time.Duration
-	// NodeCacheBytes caps each in-process server's cache (default
-	// 64 MiB).
-	NodeCacheBytes int64
 	// Digest is each in-process server's counting filter (default 2¹⁸
 	// saturating 4-bit counters, 4 hashes).
 	Digest bloom.Params
@@ -65,6 +62,9 @@ type Config struct {
 	Capacity float64
 }
 
+// nodeCacheBytes caps each in-process server's cache.
+const nodeCacheBytes = 64 << 20
+
 // Cluster is a running coordinator over its nodes.
 type Cluster struct {
 	Coord *cluster.Coordinator
@@ -84,16 +84,13 @@ func New(cfg Config) (*Cluster, error) {
 	cc := cfg.Cluster
 	c := &Cluster{}
 	if len(cc.Nodes) == 0 {
-		if cfg.NodeCacheBytes == 0 {
-			cfg.NodeCacheBytes = 64 << 20
-		}
 		if cfg.Digest == (bloom.Params{}) {
 			cfg.Digest = bloom.Params{Counters: 1 << 18, CounterBits: 4, Hashes: 4, Mode: bloom.Saturate}
 		}
 		cc.Nodes = make([]cluster.Node, cfg.Nodes)
 		c.Locals = make([]*cluster.LocalNode, cfg.Nodes)
 		for i := range cc.Nodes {
-			c.Locals[i] = cluster.NewLocalNode(cache.Config{MaxBytes: cfg.NodeCacheBytes}, cfg.Digest)
+			c.Locals[i] = cluster.NewLocalNode(cache.Config{MaxBytes: nodeCacheBytes}, cfg.Digest)
 			cc.Nodes[i] = c.Locals[i]
 		}
 	}

@@ -7,9 +7,9 @@ import (
 	"proteus/internal/power"
 )
 
-// FeedbackConfig parametrises the delay-feedback controller. The zero
-// value is unusable; NewDelayFeedback fills paper-flavoured defaults
-// (0.4 s reference under a 0.5 s bound, as the evaluation describes).
+// FeedbackConfig parametrises the delay-feedback controller: the
+// targets and the fleet it regulates. The loop's shape (gains, clamps,
+// deadband, dwell, step and migration cost) is fixed below.
 type FeedbackConfig struct {
 	// Reference is the target high-percentile response time the loop
 	// regulates to (paper: 0.4 s, chosen to tolerate overshoot under
@@ -23,103 +23,45 @@ type FeedbackConfig struct {
 	PerServerCapacity float64
 	// Min and Max clamp the fleet.
 	Min, Max int
+	// SlotWidth is the decision period the energy gate prices a shed
+	// over (0 falls back to State.SlotWidth per decision).
+	SlotWidth time.Duration
+}
 
-	// Kp and Ki are the proportional and integral gains applied to the
+// The loop's shape. No experiment varies it.
+const (
+	// kp and ki are the proportional and integral gains applied to the
 	// relative delay error (Delay-Reference)/Reference. The control
-	// output u = Kp*err + integral scales the feed-forward fleet:
+	// output u = kp*err + integral scales the feed-forward fleet:
 	// n = ceil(ff * (1+u)), so the integral term effectively learns
 	// how far the true per-server capacity sits from the estimate.
-	Kp, Ki float64
-	// IntegralMin and IntegralMax clamp the integral term
+	kp, ki = 0.6, 0.15
+	// integralMin and integralMax clamp the integral term
 	// (anti-windup). The lower clamp bounds how far below the
 	// feed-forward estimate the loop may settle.
-	IntegralMin, IntegralMax float64
-	// Deadband is the relative-error band around the reference inside
+	integralMin, integralMax = -0.6, 1.0
+	// deadband is the relative-error band around the reference inside
 	// which the fleet holds (scale-ups demanded by the feed-forward
 	// term still pass). Prevents slot-to-slot thrash on measurement
 	// noise.
-	Deadband float64
-	// DwellSlots is the minimum number of slots after any fleet change
+	deadband = 0.1
+	// dwellSlots is the minimum number of slots after any fleet change
 	// before the next scale-down. Scale-ups are never dwell-gated: the
 	// SLO always wins.
-	DwellSlots int
-	// MaxStepDown bounds servers shed per decision (default 1): a
-	// misread valley costs one transition, not half the fleet.
-	MaxStepDown int
+	dwellSlots = 2
+	// maxStepDown bounds servers shed per decision: a misread valley
+	// costs one transition, not half the fleet.
+	maxStepDown = 1
+	// migrationCostJ estimates the joules one scale-down transition
+	// burns under power.DefaultServer: roughly a boot's worth of peak
+	// draw (the cost of being wrong) plus the migration window's extra
+	// work. A scale-down is issued only when the joules it saves over
+	// the dwell horizon beat it.
+	migrationCostJ = 1500
+)
 
-	// Model prices the energy term; SlotWidth and DwellSlots set the
-	// horizon a shed is guaranteed to last (the dwell). A scale-down
-	// is issued only when the projected joule savings over that
-	// horizon beat MigrationCostJ.
-	Model power.Model
-	// SlotWidth is the decision period (required for the energy gate;
-	// 0 falls back to State.SlotWidth per decision).
-	SlotWidth time.Duration
-	// MigrationCostJ estimates the joules one scale-down transition
-	// burns: the digest broadcast, the on-demand migration traffic and
-	// database refills, and the boot energy if the shed is reversed.
-	MigrationCostJ float64
-}
-
-// DefaultMigrationCostJ prices one scale-down transition for the
-// default server model: roughly a boot's worth of peak draw (the cost
-// of being wrong) plus the migration window's extra work.
-const DefaultMigrationCostJ = 1500
-
-// NewDelayFeedback returns the controller with paper defaults for a
-// fleet of up to n servers at the given capacity estimate.
-func NewDelayFeedback(n int, perServerCapacity float64) *DelayFeedback {
-	return &DelayFeedback{cfg: FeedbackConfig{
-		Reference:         400 * time.Millisecond,
-		Bound:             500 * time.Millisecond,
-		PerServerCapacity: perServerCapacity,
-		Min:               1,
-		Max:               n,
-		Kp:                0.6,
-		Ki:                0.15,
-		IntegralMin:       -0.6,
-		IntegralMax:       1.0,
-		Deadband:          0.1,
-		DwellSlots:        2,
-		MaxStepDown:       1,
-		Model:             power.DefaultServer,
-		MigrationCostJ:    DefaultMigrationCostJ,
-	}}
-}
-
-// NewDelayFeedbackConfig builds a controller from an explicit config,
-// filling only the zero-valued loop-shape fields with defaults (gains,
-// clamps, dwell, step, migration cost). Reference, Bound, capacity and
-// Min/Max are taken as given.
-func NewDelayFeedbackConfig(cfg FeedbackConfig) *DelayFeedback {
-	def := NewDelayFeedback(cfg.Max, cfg.PerServerCapacity).cfg
-	if cfg.Kp == 0 {
-		cfg.Kp = def.Kp
-	}
-	if cfg.Ki == 0 {
-		cfg.Ki = def.Ki
-	}
-	if cfg.IntegralMin == 0 {
-		cfg.IntegralMin = def.IntegralMin
-	}
-	if cfg.IntegralMax == 0 {
-		cfg.IntegralMax = def.IntegralMax
-	}
-	if cfg.Deadband == 0 {
-		cfg.Deadband = def.Deadband
-	}
-	if cfg.DwellSlots == 0 {
-		cfg.DwellSlots = def.DwellSlots
-	}
-	if cfg.MaxStepDown == 0 {
-		cfg.MaxStepDown = def.MaxStepDown
-	}
-	if cfg.Model == (power.Model{}) {
-		cfg.Model = def.Model
-	}
-	if cfg.MigrationCostJ == 0 {
-		cfg.MigrationCostJ = def.MigrationCostJ
-	}
+// NewDelayFeedback returns the controller for cfg.
+func NewDelayFeedback(cfg FeedbackConfig) *DelayFeedback {
 	return &DelayFeedback{cfg: cfg}
 }
 
@@ -140,12 +82,6 @@ type DelayFeedback struct {
 // Name implements Policy.
 func (d *DelayFeedback) Name() string { return "delay-feedback" }
 
-// Config returns the controller's effective configuration.
-func (d *DelayFeedback) Config() FeedbackConfig { return d.cfg }
-
-// Integral exposes the integral term (tests, gauges).
-func (d *DelayFeedback) Integral() float64 { return d.integral }
-
 // Decide implements Policy. The loop, in order:
 //
 //  1. Bound violation: grow immediately past the feed-forward term,
@@ -153,11 +89,11 @@ func (d *DelayFeedback) Integral() float64 { return d.integral }
 //     steady-state evidence).
 //  2. PI update on the relative error, frozen while a drain defers
 //     actuation (no windup against a gate).
-//  3. Desired fleet = ceil(feed-forward * (1+u)), u = Kp*err+integral:
+//  3. Desired fleet = ceil(feed-forward * (1+u)), u = kp*err+integral:
 //     the loop learns the true capacity the estimate missed.
 //  4. Deadband: inside it, only rate-demanded growth passes.
 //  5. Scale-down passes dwell, drain, and energy gates, one server
-//     (MaxStepDown) at a time.
+//     (maxStepDown) at a time.
 func (d *DelayFeedback) Decide(s State) Target {
 	cfg := d.cfg
 	current := clamp(s.Active, cfg.Min, cfg.Max)
@@ -188,10 +124,10 @@ func (d *DelayFeedback) Decide(s State) Target {
 	pinnedLow := current <= cfg.Min && err < 0
 	pinnedHigh := current >= cfg.Max && err > 0
 	if !(s.Draining && err < 0) && !pinnedLow && !pinnedHigh {
-		d.integral += cfg.Ki * err
-		d.integral = math.Max(cfg.IntegralMin, math.Min(cfg.IntegralMax, d.integral))
+		d.integral += ki * err
+		d.integral = math.Max(integralMin, math.Min(integralMax, d.integral))
 	}
-	u := cfg.Kp*err + d.integral
+	u := kp*err + d.integral
 
 	base := ff
 	if base < 1 {
@@ -204,7 +140,7 @@ func (d *DelayFeedback) Decide(s State) Target {
 
 	// Deadband: near the reference, hold — except for growth the
 	// feed-forward term demands (rate outran the fleet).
-	if math.Abs(err) <= cfg.Deadband {
+	if math.Abs(err) <= deadband {
 		next := max(current, clamp(ff, cfg.Min, cfg.Max))
 		if next > current {
 			d.lastChange, d.changed = s.Slot, true
@@ -218,17 +154,13 @@ func (d *DelayFeedback) Decide(s State) Target {
 		d.lastChange, d.changed = s.Slot, true
 		return Target{Servers: desired, Reason: "grow:delay"}
 	case desired < current:
-		if d.changed && s.Slot-d.lastChange < cfg.DwellSlots {
+		if d.changed && s.Slot-d.lastChange < dwellSlots {
 			return Target{Servers: current, Reason: "hold:dwell"}
 		}
 		if s.Draining {
 			return Target{Servers: current, Reason: "defer:drain"}
 		}
-		step := cfg.MaxStepDown
-		if step < 1 {
-			step = 1
-		}
-		next := current - min(step, current-desired)
+		next := current - min(maxStepDown, current-desired)
 		next = clamp(next, cfg.Min, cfg.Max)
 		if next == current {
 			return Target{Servers: current, Reason: "hold"}
@@ -250,21 +182,16 @@ func (d *DelayFeedback) Decide(s State) Target {
 // below the transition's price and the controller correctly refuses to
 // churn.
 func (d *DelayFeedback) shedWorthIt(k int, s State) bool {
-	cfg := d.cfg
-	slot := cfg.SlotWidth
+	slot := d.cfg.SlotWidth
 	if slot <= 0 {
 		slot = s.SlotWidth
 	}
-	if slot <= 0 || cfg.MigrationCostJ <= 0 {
-		return true // energy term disabled
+	if slot <= 0 {
+		return true // no horizon to price the shed over
 	}
-	dwell := cfg.DwellSlots
-	if dwell < 1 {
-		dwell = 1
-	}
-	horizon := slot * time.Duration(dwell)
+	horizon := slot * dwellSlots
 	// A shed server drops from (at least) idle draw to standby draw.
-	savedW := cfg.Model.Watts(true, 0) - cfg.Model.Watts(false, 0)
+	savedW := power.DefaultServer.Watts(true, 0) - power.DefaultServer.Watts(false, 0)
 	savedJ := float64(k) * savedW * horizon.Seconds()
-	return savedJ > cfg.MigrationCostJ
+	return savedJ > migrationCostJ
 }

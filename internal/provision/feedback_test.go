@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"proteus/internal/power"
 )
 
 const (
@@ -41,6 +39,18 @@ var decideStates = [4]State{
 	{Delay: 600 * time.Millisecond, Rate: 4600, Active: 40, SlotWidth: testSlot},
 }
 
+// paperFeedback builds the controller the paper evaluates: a 0.4 s
+// reference under a 0.5 s bound, for a fleet of 1..n servers.
+func paperFeedback(n int, perServerCapacity float64) *DelayFeedback {
+	return NewDelayFeedback(FeedbackConfig{
+		Reference:         400 * time.Millisecond,
+		Bound:             500 * time.Millisecond,
+		PerServerCapacity: perServerCapacity,
+		Min:               1,
+		Max:               n,
+	})
+}
+
 func decideNext(d *DelayFeedback, i int) Target {
 	s := decideStates[i%len(decideStates)]
 	s.Slot = i
@@ -50,7 +60,7 @@ func decideNext(d *DelayFeedback, i int) Target {
 // Once per slot in production, but in tight loops inside the policy
 // sweeps: a slot decision must not allocate in any regime.
 func TestDelayFeedbackDecideAllocs(t *testing.T) {
-	d := NewDelayFeedback(48, testCap)
+	d := paperFeedback(48, testCap)
 	i := 0
 	if allocs := testing.AllocsPerRun(1000, func() {
 		decideNext(d, i)
@@ -61,7 +71,7 @@ func TestDelayFeedbackDecideAllocs(t *testing.T) {
 }
 
 func BenchmarkDelayFeedbackDecide(b *testing.B) {
-	d := NewDelayFeedback(48, testCap)
+	d := paperFeedback(48, testCap)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		decideNext(d, i)
@@ -195,7 +205,7 @@ func TestFeedbackDynamics(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			d := NewDelayFeedback(10, testCap)
+			d := paperFeedback(10, testCap)
 			rates := c.rates()
 			fleet, delays := drive(t, d, c.start, rates)
 			viol := 0
@@ -218,7 +228,7 @@ func TestFeedbackDynamics(t *testing.T) {
 }
 
 func TestFeedbackBoundViolationGrowsImmediately(t *testing.T) {
-	d := NewDelayFeedback(10, testCap)
+	d := paperFeedback(10, testCap)
 	got := d.Decide(State{Slot: 0, SlotWidth: testSlot, Delay: 600 * time.Millisecond, Rate: 450, Active: 3})
 	if got.Servers != 6 || got.Reason != "grow:slo" {
 		t.Fatalf("got %d (%s), want 6 (grow:slo)", got.Servers, got.Reason)
@@ -226,7 +236,7 @@ func TestFeedbackBoundViolationGrowsImmediately(t *testing.T) {
 }
 
 func TestFeedbackScaleDownDeferredWhileDraining(t *testing.T) {
-	d := NewDelayFeedback(10, testCap)
+	d := paperFeedback(10, testCap)
 	// Comfortable: 5 servers at 200 req/s and 100 ms p99.9 wants a shed,
 	// but the previous window is still draining.
 	s := State{Slot: 3, SlotWidth: testSlot, Delay: 100 * time.Millisecond, Rate: 200, Active: 5, InTransition: true, Draining: true}
@@ -234,29 +244,30 @@ func TestFeedbackScaleDownDeferredWhileDraining(t *testing.T) {
 	if got.Servers != 5 || got.Reason != "defer:drain" {
 		t.Fatalf("draining: got %d (%s), want 5 (defer:drain)", got.Servers, got.Reason)
 	}
-	// Same measurement with the drain finished: the shed proceeds, one
-	// server at a time.
+	// Same measurement with the drain finished: the shed proceeds,
+	// maxStepDown servers at a time.
 	s.Slot, s.InTransition, s.Draining = 4, false, false
 	got = d.Decide(s)
-	if got.Servers != 4 || got.Reason != "shed" {
-		t.Fatalf("drained: got %d (%s), want 4 (shed)", got.Servers, got.Reason)
+	if want := 5 - maxStepDown; got.Servers != want || got.Reason != "shed" {
+		t.Fatalf("drained: got %d (%s), want %d (shed)", got.Servers, got.Reason, want)
 	}
 }
 
 func TestFeedbackDwellBlocksBackToBackSheds(t *testing.T) {
-	d := NewDelayFeedback(10, testCap)
+	d := paperFeedback(10, testCap)
 	s := State{SlotWidth: testSlot, Delay: 100 * time.Millisecond, Rate: 200, Active: 8}
 	s.Slot = 0
 	if got := d.Decide(s); got.Reason != "shed" {
 		t.Fatalf("slot 0: got %s, want shed", got.Reason)
 	}
-	s.Slot, s.Active = 1, 7
-	if got := d.Decide(s); got.Reason != "hold:dwell" {
-		t.Fatalf("slot 1: got %s, want hold:dwell", got.Reason)
+	s.Active = 7
+	for s.Slot = 1; s.Slot < dwellSlots; s.Slot++ {
+		if got := d.Decide(s); got.Reason != "hold:dwell" {
+			t.Fatalf("slot %d: got %s, want hold:dwell", s.Slot, got.Reason)
+		}
 	}
-	s.Slot = 2
 	if got := d.Decide(s); got.Reason != "shed" {
-		t.Fatalf("slot 2: got %s, want shed after the dwell", got.Reason)
+		t.Fatalf("slot %d: got %s, want shed after the dwell", s.Slot, got.Reason)
 	}
 }
 
@@ -264,29 +275,20 @@ func TestFeedbackEnergyGate(t *testing.T) {
 	// With 1-second slots the dwell horizon saves ~98 J per shed server
 	// — far under the 1500 J migration cost, so the controller refuses
 	// to churn.
-	d := NewDelayFeedbackConfig(FeedbackConfig{
-		Reference: 400 * time.Millisecond, Bound: 500 * time.Millisecond,
-		PerServerCapacity: testCap, Min: 1, Max: 10,
-		SlotWidth: time.Second,
-	})
+	d := paperFeedback(10, testCap)
 	s := State{Slot: 0, SlotWidth: time.Second, Delay: 100 * time.Millisecond, Rate: 200, Active: 5}
 	if got := d.Decide(s); got.Reason != "hold:energy" {
 		t.Fatalf("got %s, want hold:energy", got.Reason)
 	}
-	// Disabling the energy term (MigrationCostJ < 0) lets the same shed
-	// through.
-	d2 := NewDelayFeedbackConfig(FeedbackConfig{
-		Reference: 400 * time.Millisecond, Bound: 500 * time.Millisecond,
-		PerServerCapacity: testCap, Min: 1, Max: 10,
-		SlotWidth: time.Second, MigrationCostJ: -1,
-	})
-	if got := d2.Decide(s); got.Reason != "shed" {
-		t.Fatalf("energy term disabled: got %s, want shed", got.Reason)
+	// The same shed over 30-second slots saves ~2.9 kJ and goes through.
+	s.SlotWidth = testSlot
+	if got := d.Decide(s); got.Reason != "shed" {
+		t.Fatalf("30 s slots: got %s, want shed", got.Reason)
 	}
 }
 
 func TestFeedbackAntiWindupAtClamp(t *testing.T) {
-	d := NewDelayFeedback(10, testCap)
+	d := paperFeedback(10, testCap)
 	// Pinned at Min with persistent negative error: the integral must
 	// not wind up.
 	s := State{SlotWidth: testSlot, Delay: 100 * time.Millisecond, Rate: 50, Active: 1}
@@ -294,44 +296,33 @@ func TestFeedbackAntiWindupAtClamp(t *testing.T) {
 		s.Slot = slot
 		d.Decide(s)
 	}
-	if got := d.Integral(); got != 0 {
+	if got := d.integral; got != 0 {
 		t.Errorf("integral wound up to %v while pinned at Min", got)
 	}
 	// And the clamps bound it everywhere else.
-	d2 := NewDelayFeedback(10, testCap)
+	d2 := paperFeedback(10, testCap)
 	s2 := State{SlotWidth: testSlot, Delay: 100 * time.Millisecond, Rate: 300, Active: 10}
 	for slot := 0; slot < 50; slot++ {
 		s2.Slot = slot
 		got := d2.Decide(s2)
 		s2.Active = got.Servers
 	}
-	cfg := d2.Config()
-	if i := d2.Integral(); i < cfg.IntegralMin || i > cfg.IntegralMax {
-		t.Errorf("integral %v escaped [%v, %v]", i, cfg.IntegralMin, cfg.IntegralMax)
+	if i := d2.integral; i < integralMin || i > integralMax {
+		t.Errorf("integral %v escaped [%v, %v]", i, integralMin, integralMax)
 	}
 }
 
+// The loop's shape is fixed, so Decide carries no guards for a zero
+// step or dwell, or for an inverted clamp; this pins what those guards
+// assumed.
 func TestFeedbackDefaults(t *testing.T) {
-	d := NewDelayFeedback(10, testCap)
-	cfg := d.Config()
-	if cfg.Reference != 400*time.Millisecond || cfg.Bound != 500*time.Millisecond {
-		t.Errorf("paper reference/bound not defaulted: %+v", cfg)
+	if maxStepDown < 1 || dwellSlots < 1 || migrationCostJ <= 0 {
+		t.Errorf("step %d, dwell %d, migration cost %v J: want each positive", maxStepDown, dwellSlots, float64(migrationCostJ))
 	}
-	if cfg.Model != power.DefaultServer {
-		t.Errorf("power model not defaulted")
+	if !(integralMin < 0 && 0 < integralMax) || deadband <= 0 || kp <= 0 || ki <= 0 {
+		t.Errorf("loop shape kp=%v ki=%v integral=[%v, %v] deadband=%v", kp, ki, integralMin, integralMax, deadband)
 	}
-	if d.Name() != "delay-feedback" {
-		t.Errorf("name = %q", d.Name())
-	}
-	// NewDelayFeedbackConfig keeps explicit fields and fills loop shape.
-	c2 := NewDelayFeedbackConfig(FeedbackConfig{
-		Reference: 300 * time.Millisecond, Bound: time.Second,
-		PerServerCapacity: 42, Min: 2, Max: 7,
-	}).Config()
-	if c2.Reference != 300*time.Millisecond || c2.Max != 7 {
-		t.Errorf("explicit fields overwritten: %+v", c2)
-	}
-	if c2.Kp == 0 || c2.DwellSlots == 0 || c2.MigrationCostJ == 0 {
-		t.Errorf("loop-shape defaults not filled: %+v", c2)
+	if got := paperFeedback(10, testCap).Name(); got != "delay-feedback" {
+		t.Errorf("name = %q", got)
 	}
 }

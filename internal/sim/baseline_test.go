@@ -34,9 +34,9 @@ func TestProteusOnlySettingsRejectedOnBaselines(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%s", scenario, s.name), func(t *testing.T) {
 				cfg := NewConfig(scenario, corpus, time.Minute, 100)
 				s.set(&cfg)
-				err := cfg.fillDefaults()
+				err := cfg.validate()
 				if wantErr := s.proteusOnly && scenario != ScenarioProteus; (err != nil) != wantErr {
-					t.Fatalf("fillDefaults error = %v, want error: %v", err, wantErr)
+					t.Fatalf("validate error = %v, want error: %v", err, wantErr)
 				}
 			})
 		}

@@ -54,7 +54,7 @@ func TestPolicyModeDelayFeedback(t *testing.T) {
 	res, other := runTwice(t, func() Config {
 		cfg := testConfig(t, ScenarioProteus)
 		cfg.Telemetry = true
-		cfg.Policy = provision.NewDelayFeedbackConfig(provision.FeedbackConfig{
+		cfg.Policy = provision.NewDelayFeedback(provision.FeedbackConfig{
 			Reference:         200 * time.Millisecond,
 			Bound:             300 * time.Millisecond,
 			PerServerCapacity: cfg.PerServerCapacity,

@@ -14,9 +14,24 @@ import (
 	"proteus/internal/workload"
 )
 
+// The paper's testbed fixes these; no experiment varies them.
+const (
+	webServers = 10 // web tier size, for the power model
+	rbeServers = 10 // RBE client hosts, for the power model
+	// dbConcurrency bounds in-flight queries per shard: one connection.
+	dbConcurrency = 1
+	// cacheConcurrency is each cache server's service parallelism.
+	cacheConcurrency = 8
+	// nominalResponse converts the rate curve into a closed-loop user
+	// count (rate = users / (think + response)).
+	nominalResponse = 20 * time.Millisecond
+	// controllerQuantile is the delay percentile fed to a Policy.
+	controllerQuantile = 0.999
+)
+
 // Run executes one scenario and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	r, err := newRunner(cfg)
@@ -44,6 +59,7 @@ type runner struct {
 	provGen      int              // invalidates superseded boot callbacks
 	policy       provision.Policy // closed-loop decisions; nil in plan mode
 
+	pool       *workload.UserPool // materialises the RBE browsers
 	users      []*simUser
 	aliveUsers int
 	nextUserID int
@@ -81,12 +97,17 @@ type simUser struct {
 }
 
 func newRunner(cfg Config) (*runner, error) {
+	pool, err := workload.NewUserPool(workload.UserPoolConfig{Corpus: cfg.Corpus, Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
 	eng := NewEngine()
 	r := &runner{
 		cfg:        cfg,
 		eng:        eng,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		db:         newDBModel(cfg.Corpus, cfg.DBShards, cfg.DBConcurrency, cfg.DBLatency, cfg.Seed+101),
+		pool:       pool,
+		db:         newDBModel(cfg.Corpus, cfg.DBShards, dbConcurrency, cfg.DBLatency, cfg.Seed+101),
 		latency:    metrics.NewLatencySeries(cfg.Duration, cfg.Duration/time.Duration(cfg.LatencySlots)),
 		load:       metrics.NewLoadSeries(cfg.Duration, cfg.SlotWidth, cfg.CacheServers),
 		meter:      power.NewMeter(),
@@ -100,15 +121,8 @@ func newRunner(cfg Config) (*runner, error) {
 	if cfg.Telemetry {
 		// Both stores run off the engine clock and the run seed, so the
 		// whole observability stream is replay-deterministic.
-		r.tracer = telemetry.NewTracer(telemetry.TracerConfig{
-			Clock:    eng.Clock(),
-			Seed:     cfg.Seed,
-			Capacity: cfg.TraceCapacity,
-		})
-		r.events = telemetry.NewEventLog(telemetry.EventLogConfig{
-			Clock:    eng.Now,
-			Capacity: cfg.EventCapacity,
-		})
+		r.tracer = telemetry.NewTracer(telemetry.TracerConfig{Clock: eng.Clock(), Seed: cfg.Seed})
+		r.events = telemetry.NewEventLog(telemetry.EventLogConfig{Clock: eng.Now})
 	}
 	if cfg.Faults != nil {
 		// Crash hooks run synchronously inside the engine event that
@@ -126,7 +140,7 @@ func newRunner(cfg Config) (*runner, error) {
 		// Per-item TTL is zero: like memcached, items live until
 		// evicted. The config TTL is the hot-data window that bounds
 		// the smooth-transition deadline, not an item lifetime.
-		node, err := newCacheNode(eng, i, capacityBytes, 0, cfg.DigestParams, cfg.CacheConcurrency)
+		node, err := newCacheNode(eng, i, capacityBytes, 0, cfg.DigestParams, cacheConcurrency)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +160,7 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	if cfg.Scenario != ScenarioProteus {
 		// A baseline routes by its Table II scheme, broadcasts no digest
-		// and has no crash hook at the flip; fillDefaults already holds
+		// and has no crash hook at the flip; validate already holds
 		// it to one copy.
 		mcfg.Backend = core.BackendModulo
 		if cfg.Scenario == ScenarioConsistent {
@@ -246,7 +260,7 @@ func (r *runner) applyPlan(slot int) {
 	if r.policy != nil {
 		// Closed loop: decide from the ending slot's measurements, as
 		// the paper's feedback experiment does.
-		delay := r.slotHist.Quantile(r.cfg.ControllerQuantile)
+		delay := r.slotHist.Quantile(controllerQuantile)
 		rate := float64(r.slotRequests) / r.cfg.SlotWidth.Seconds()
 		r.slotHist.Reset()
 		r.slotRequests = 0
@@ -368,7 +382,7 @@ func (r *runner) retargetUsers() {
 	if t < 0 {
 		t = 0
 	}
-	target := workload.ActiveUsers(r.cfg.Rate.Rate(t), r.cfg.NominalResponse)
+	target := workload.ActiveUsers(r.cfg.Rate.Rate(t), nominalResponse)
 	for r.aliveUsers < target {
 		r.spawnUser()
 	}
@@ -384,7 +398,7 @@ func (r *runner) retargetUsers() {
 }
 
 func (r *runner) spawnUser() {
-	u := &simUser{user: r.cfg.Users.User(r.nextUserID), alive: true}
+	u := &simUser{user: r.pool.User(r.nextUserID), alive: true}
 	u.turn = func() { r.userTurn(u) }
 	r.nextUserID++
 	r.users = append(r.users, u)
@@ -604,7 +618,7 @@ func (r *runner) fault(server int, op faultinject.Op) faultinject.Decision {
 // samplePower records one PDU sample across the four tiers.
 func (r *runner) samplePower(at time.Duration) {
 	interval := r.cfg.PowerEvery
-	model := r.cfg.PowerModel
+	model := power.DefaultServer
 
 	cacheW := 0.0
 	for _, n := range r.nodes {
@@ -614,24 +628,24 @@ func (r *runner) samplePower(at time.Duration) {
 		case nodeBooting:
 			cacheW += model.Watts(true, 0.5) // boot burn
 		default:
-			util := float64(n.queue.takeBusy()) / float64(interval) / float64(r.cfg.CacheConcurrency)
+			util := float64(n.queue.takeBusy()) / float64(interval) / cacheConcurrency
 			cacheW += model.Watts(true, util)
 		}
 	}
 
 	dbW := 0.0
 	for _, sh := range r.db.shards {
-		util := float64(sh.takeBusy()) / float64(interval) / float64(r.cfg.DBConcurrency)
+		util := float64(sh.takeBusy()) / float64(interval) / dbConcurrency
 		dbW += model.Watts(true, util)
 	}
 
 	// Web and RBE tiers: utilisation follows the request rate.
 	reqs := float64(r.webRequests)
 	r.webRequests = 0
-	perServerRPS := reqs / interval.Seconds() / float64(r.cfg.WebServers)
+	perServerRPS := reqs / interval.Seconds() / webServers
 	webUtil := perServerRPS / 150 // nominal 150 req/s per web server at full tilt
-	webW := float64(r.cfg.WebServers) * model.Watts(true, webUtil)
-	rbeW := float64(r.cfg.RBEServers) * model.Watts(true, webUtil/2)
+	webW := webServers * model.Watts(true, webUtil)
+	rbeW := rbeServers * model.Watts(true, webUtil/2)
 
 	rel := at - r.cfg.Warmup
 	if rel < 0 {

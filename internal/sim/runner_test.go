@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"proteus/internal/database"
 	"proteus/internal/testutil"
 )
 
@@ -40,6 +41,20 @@ func TestRunValidation(t *testing.T) {
 	cfg := testConfig(t, Scenario(99))
 	if _, err := Run(cfg); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+	// NewConfig is the only source of defaults: a zeroed required field
+	// is an error, never a second default.
+	for name, zero := range map[string]func(*Config){
+		"LatencySlots": func(c *Config) { c.LatencySlots = 0 },
+		"DBShards":     func(c *Config) { c.DBShards = 0 },
+		"DBLatency":    func(c *Config) { c.DBLatency = database.LatencyModel{} },
+		"PowerEvery":   func(c *Config) { c.PowerEvery = 0 },
+	} {
+		cfg := testConfig(t, ScenarioProteus)
+		zero(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("zero %s accepted", name)
+		}
 	}
 }
 

@@ -55,19 +55,17 @@ func Scenarios() []Scenario {
 	return []Scenario{ScenarioStatic, ScenarioNaive, ScenarioConsistent, ScenarioProteus}
 }
 
-// Config parametrises one simulation run. NewConfig supplies the
-// paper-flavoured defaults; zero fields are filled in by Run.
+// Config parametrises one simulation run. NewConfig is the only source
+// of defaults: Run rejects a config missing a required field instead of
+// filling it in.
 type Config struct {
 	Scenario Scenario
 
-	// Cluster shape (paper: 10 cache, 10 web, 10 RBE, 7 DB shards).
+	// Cluster shape (paper: 10 cache servers, 7 DB shards; the 10 web
+	// servers and 10 RBE hosts are fixed in runner.go).
 	CacheServers int
-	WebServers   int
-	RBEServers   int
 	DBShards     int
 
-	// DBConcurrency bounds in-flight queries per shard.
-	DBConcurrency int
 	// DBLatency models per-query service time.
 	DBLatency database.LatencyModel
 
@@ -89,9 +87,8 @@ type Config struct {
 	// LatencySlots sets Fig. 9 resolution (paper: 480).
 	LatencySlots int
 
-	// Rate is the offered-load curve; Users materialises RBE browsers.
-	Rate  workload.Diurnal
-	Users *workload.UserPool
+	// Rate is the offered-load curve the closed-loop RBE browsers follow.
+	Rate workload.Diurnal
 	// Trace, when non-empty, replaces the closed-loop RBE population
 	// with open-loop replay of these time-ordered events (the paper's
 	// trace-driven experiments). Timestamps are absolute over
@@ -111,9 +108,6 @@ type Config struct {
 	// decided while a previous window is still draining are deferred to
 	// the next slot (Stats.ScaleDownsDeferred counts them).
 	Policy provision.Policy
-	// ControllerQuantile is the delay percentile fed to the policy
-	// (default 0.999).
-	ControllerQuantile float64
 	// DisableDigest ablates Section IV: transitions still re-route
 	// with the Proteus placement, but the web tier has no digests, so
 	// every re-mapped key goes straight to the database. Used by the
@@ -147,26 +141,16 @@ type Config struct {
 	// engine's virtual clock and seeded from Seed, so two runs with the
 	// same config produce byte-identical trace and event JSON.
 	Telemetry bool
-	// TraceCapacity bounds the span ring buffer (0 = default).
-	TraceCapacity int
-	// EventCapacity bounds the event ring buffer (0 = default).
-	EventCapacity int
 
 	// DigestParams sizes the per-server counting Bloom filter.
 	DigestParams bloom.Params
 
 	// Service model.
-	WebOverhead      time.Duration
-	CacheRTT         time.Duration
-	CacheService     time.Duration
-	CacheConcurrency int
-	// NominalResponse converts the rate curve into a closed-loop user
-	// count (rate = users / (think + response)).
-	NominalResponse time.Duration
+	WebOverhead  time.Duration
+	CacheRTT     time.Duration
+	CacheService time.Duration
 
-	// PowerModel is the per-server draw; PowerEvery the PDU sampling
-	// period.
-	PowerModel power.Model
+	// PowerEvery is the PDU sampling period.
 	PowerEvery time.Duration
 
 	Seed int64
@@ -186,12 +170,9 @@ func NewConfig(scenario Scenario, corpus *wiki.Corpus, duration time.Duration, m
 	// capacity = shards/(0.75*base) ≈ 0.5*meanRPS.
 	dbBase := time.Duration(18.7 * float64(time.Second) / meanRPS)
 	return Config{
-		Scenario:      scenario,
-		CacheServers:  10,
-		WebServers:    10,
-		RBEServers:    10,
-		DBShards:      7,
-		DBConcurrency: 1,
+		Scenario:     scenario,
+		CacheServers: 10,
+		DBShards:     7,
 		DBLatency: database.LatencyModel{
 			Base:       dbBase,
 			PerKB:      dbBase / 200,
@@ -210,15 +191,14 @@ func NewConfig(scenario Scenario, corpus *wiki.Corpus, duration time.Duration, m
 		WebOverhead:         800 * time.Microsecond,
 		CacheRTT:            300 * time.Microsecond,
 		CacheService:        100 * time.Microsecond,
-		CacheConcurrency:    8,
-		NominalResponse:     20 * time.Millisecond,
-		PowerModel:          power.DefaultServer,
 		PowerEvery:          power.SampleInterval,
 		Seed:                1,
 	}
 }
 
-func (c *Config) fillDefaults() error {
+// validate rejects a config missing a required field and derives
+// DigestParams and Plan when they are unset.
+func (c *Config) validate() error {
 	if c.Corpus == nil {
 		return errors.New("sim: Corpus is required")
 	}
@@ -238,6 +218,9 @@ func (c *Config) fillDefaults() error {
 	if c.Rate.Mean <= 0 {
 		return errors.New("sim: Rate.Mean must be positive")
 	}
+	if c.LatencySlots < 1 || c.DBShards < 1 || c.DBLatency == (database.LatencyModel{}) || c.PowerEvery <= 0 {
+		return errors.New("sim: LatencySlots, DBShards, DBLatency and PowerEvery must be set; start from NewConfig")
+	}
 	if c.DigestParams == (bloom.Params{}) {
 		// Size for the per-server page count with ~1e-4 rates (Sec IV-B).
 		keys := c.CachePagesPerServer
@@ -250,13 +233,6 @@ func (c *Config) fillDefaults() error {
 		}
 		c.DigestParams = cfg.Params(bloom.Saturate)
 	}
-	if c.Users == nil {
-		pool, err := workload.NewUserPool(workload.UserPoolConfig{Corpus: c.Corpus, Seed: c.Seed})
-		if err != nil {
-			return err
-		}
-		c.Users = pool
-	}
 	if c.Plan == nil {
 		slots := int((c.Duration + c.SlotWidth - 1) / c.SlotWidth)
 		if c.Scenario == ScenarioStatic {
@@ -264,33 +240,6 @@ func (c *Config) fillDefaults() error {
 		} else {
 			c.Plan = PlanProvisioning(c.Rate, c.Duration, c.SlotWidth, c.PerServerCapacity, 1, c.CacheServers)
 		}
-	}
-	if c.LatencySlots < 1 {
-		c.LatencySlots = 480
-	}
-	if c.CacheConcurrency < 1 {
-		c.CacheConcurrency = 8
-	}
-	if c.DBConcurrency < 1 {
-		c.DBConcurrency = 6
-	}
-	if c.DBShards < 1 {
-		c.DBShards = 7
-	}
-	if c.DBLatency == (database.LatencyModel{}) {
-		c.DBLatency = database.DefaultLatency
-	}
-	if c.PowerModel == (power.Model{}) {
-		c.PowerModel = power.DefaultServer
-	}
-	if c.PowerEvery <= 0 {
-		c.PowerEvery = power.SampleInterval
-	}
-	if c.NominalResponse <= 0 {
-		c.NominalResponse = 20 * time.Millisecond
-	}
-	if c.ControllerQuantile <= 0 || c.ControllerQuantile > 1 {
-		c.ControllerQuantile = 0.999
 	}
 	return nil
 }

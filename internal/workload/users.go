@@ -14,25 +14,21 @@ import (
 // so closed-loop experiments are reproducible across scenarios (every
 // scenario sees exactly the same users).
 type UserPool struct {
-	corpus       *wiki.Corpus
-	pagesPerUser int
-	alpha        float64
-	seed         int64
-	// sessionMean parametrises the exponential session durations.
-	sessionMean time.Duration
+	corpus *wiki.Corpus
+	alpha  float64
+	seed   int64
 	// cdf caches the shared Zipf CDF, built by the first User call;
 	// RBE load generators call User from one goroutine per user.
 	cdfOnce sync.Once
 	cdf     []float64
 }
 
-// UserPoolConfig configures a pool.
+// UserPoolConfig configures a pool. Every user holds PagesPerUser
+// pages.
 type UserPoolConfig struct {
-	Corpus       *wiki.Corpus
-	PagesPerUser int     // 0 selects the paper's 50
-	ZipfAlpha    float64 // 0 selects DefaultZipfAlpha
-	Seed         int64
-	SessionMean  time.Duration // 0 selects 10 minutes
+	Corpus    *wiki.Corpus
+	ZipfAlpha float64 // 0 selects DefaultZipfAlpha
+	Seed      int64
 }
 
 // NewUserPool builds a pool.
@@ -40,25 +36,10 @@ func NewUserPool(cfg UserPoolConfig) (*UserPool, error) {
 	if cfg.Corpus == nil {
 		return nil, fmt.Errorf("workload: user pool needs a corpus")
 	}
-	if cfg.PagesPerUser == 0 {
-		cfg.PagesPerUser = PagesPerUser
-	}
-	if cfg.PagesPerUser < 1 {
-		return nil, fmt.Errorf("workload: PagesPerUser must be >= 1, got %d", cfg.PagesPerUser)
-	}
 	if cfg.ZipfAlpha == 0 {
 		cfg.ZipfAlpha = DefaultZipfAlpha
 	}
-	if cfg.SessionMean == 0 {
-		cfg.SessionMean = 10 * time.Minute
-	}
-	return &UserPool{
-		corpus:       cfg.Corpus,
-		pagesPerUser: cfg.PagesPerUser,
-		alpha:        cfg.ZipfAlpha,
-		seed:         cfg.Seed,
-		sessionMean:  cfg.SessionMean,
-	}, nil
+	return &UserPool{corpus: cfg.Corpus, alpha: cfg.ZipfAlpha, seed: cfg.Seed}, nil
 }
 
 // User is one emulated browser.
@@ -73,10 +54,10 @@ func (p *UserPool) User(id int) *User {
 	rng := rand.New(rand.NewSource(p.seed ^ int64(id)*0x9e3779b9))
 	// Per-user Zipf sampling over the full corpus: popular pages appear
 	// in many users' sets, giving the cluster-level Zipf mixture.
-	pages := make([]string, 0, p.pagesPerUser)
-	seen := make(map[int]bool, p.pagesPerUser)
+	pages := make([]string, 0, PagesPerUser)
+	seen := make(map[int]bool, PagesPerUser)
 	zipf := p.userZipf(rng)
-	for len(pages) < p.pagesPerUser {
+	for len(pages) < PagesPerUser {
 		idx := zipf.Next()
 		if seen[idx] {
 			// Rejection keeps sets duplicate-free; fall back to uniform
@@ -119,12 +100,6 @@ func (u *User) NextPage() string {
 // NextThink returns the user's think time before the next request. The
 // paper fixes it at 0.5 s.
 func (u *User) NextThink() time.Duration { return ThinkTime }
-
-// SessionDuration draws an exponential session length with the pool's
-// mean ("the user session duration follows exponential distribution").
-func (p *UserPool) SessionDuration(rng *rand.Rand) time.Duration {
-	return time.Duration(rng.ExpFloat64() * float64(p.sessionMean))
-}
 
 // ActiveUsers converts a target request rate into a concurrent user
 // count using the closed-loop identity rate = users / (think + mean

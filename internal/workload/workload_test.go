@@ -308,7 +308,7 @@ func TestUserPoolDeterministicSets(t *testing.T) {
 
 func TestUserNextPageFromOwnSet(t *testing.T) {
 	corpus := testCorpus(t, 1000)
-	pool, err := NewUserPool(UserPoolConfig{Corpus: corpus, PagesPerUser: 5})
+	pool, err := NewUserPool(UserPoolConfig{Corpus: corpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,24 +334,6 @@ func TestActiveUsers(t *testing.T) {
 	}
 	if got := ActiveUsers(0.1, 0); got != 1 {
 		t.Fatalf("ActiveUsers floor = %d, want 1", got)
-	}
-}
-
-func TestSessionDurationExponential(t *testing.T) {
-	corpus := testCorpus(t, 100)
-	pool, err := NewUserPool(UserPoolConfig{Corpus: corpus, SessionMean: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	var sum time.Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += pool.SessionDuration(rng)
-	}
-	mean := sum / n
-	if mean < 55*time.Second || mean > 65*time.Second {
-		t.Fatalf("session mean = %v, want ≈1m", mean)
 	}
 }
 
